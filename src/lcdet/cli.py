@@ -179,26 +179,23 @@ def cmd_eval(args) -> int:
     out = _prepare_out(args.out, args.force)
     dets = detector.read_jsonl(args.detections)
     gts = data.load_annotations(args.ground_truth)
-    main_curve = evaluation.curve(dets, gts, args.iou)
-    _write(os.path.join(out, f"curve_iou{int(round(args.iou * 100)):02d}.csv"),
-           evaluation.curve_csv(main_curve))
-    series = [(f"IoU {args.iou:.2f}",
-               [(p.fp, p.tp) for p in main_curve.points])]
-    pr_series = [(f"IoU {args.iou:.2f}",
-                  [(p.recall, p.precision) for p in main_curve.points])]
-    sweep_rows = []
-    if args.iou_sweep:
-        criteria = [float(v) for v in args.iou_sweep.split(",")]
-        sweep_rows = evaluation.iou_sweep(dets, gts, criteria, args.fp_budget)
-        _write(os.path.join(out, "iou_sweep.csv"), evaluation.sweep_csv(sweep_rows))
-        for criterion in criteria:
-            c = evaluation.curve(dets, gts, criterion)
-            _write(os.path.join(out, f"curve_iou{int(round(criterion * 100)):02d}.csv"),
-                   evaluation.curve_csv(c))
-            if abs(criterion - args.iou) > 1e-9:
-                series.append((f"IoU {criterion:.2f}", [(p.fp, p.tp) for p in c.points]))
-                pr_series.append((f"IoU {criterion:.2f}",
-                                  [(p.recall, p.precision) for p in c.points]))
+    criteria = [float(v) for v in args.iou_sweep.split(",")] if args.iou_sweep else []
+    # one matching pass per distinct criterion feeds its curve file, the plots
+    # and the sweep rows
+    curves = {c: evaluation.curve(dets, gts, c) for c in dict.fromkeys([args.iou, *criteria])}
+    for c in curves.values():
+        _write(os.path.join(out, f"curve_iou{int(round(c.iou_criterion * 100)):02d}.csv"),
+               evaluation.curve_csv(c))
+    main_curve = curves[args.iou]
+    series = [(f"IoU {c.iou_criterion:.2f}", [(p.fp, p.tp) for p in c.points])
+              for c in curves.values()]
+    pr_series = [(f"IoU {c.iou_criterion:.2f}", [(p.recall, p.precision) for p in c.points])
+                 for c in curves.values()]
+    rows = []
+    if criteria:
+        fp_budget = len(gts) if args.fp_budget is None else args.fp_budget
+        rows = evaluation.sweep_rows([curves[c] for c in criteria], fp_budget)
+        _write(os.path.join(out, "iou_sweep.csv"), evaluation.sweep_csv(rows))
     _write(os.path.join(out, "tp_fp.svg"),
            plot.render_svg(series, "false positives", "true positives",
                            "TP-FP curve (discrete score)"))
@@ -214,7 +211,7 @@ def cmd_eval(args) -> int:
     best = max(main_curve.points, key=lambda p: p.recall)
     print(f"total gts {main_curve.total_gt}; best recall {best.recall:.3f} "
           f"at precision {best.precision:.3f} (IoU {args.iou})")
-    for row in sweep_rows:
+    for row in rows:
         print(f"iou {row.iou_criterion:.2f}: tp_rate {row.tp_rate:.3f} "
               f"({row.tp} TP at {row.fp} FP)")
     return 0
@@ -303,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="allow writing into a non-empty output directory")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker/BLAS threads (default: logical cores)")
         if profile:
             p.add_argument("--profile", default="toy", choices=("toy", "paper"))
             p.add_argument("--config", default=None,
@@ -369,22 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    limiter = None
     try:
         args = parser.parse_args(argv)
-        if args.threads:
-            try:
-                from threadpoolctl import threadpool_limits
-                limiter = threadpool_limits(args.threads)  # held until command ends
-            except ImportError:
-                pass
         return args.func(args)
     except LCDetError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    finally:
-        if limiter is not None:
-            limiter.restore_original_limits()
 
 
 if __name__ == "__main__":

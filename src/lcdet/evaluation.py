@@ -86,6 +86,8 @@ def curve(dets_by_image: dict, gts_by_image: dict, iou_criterion: float) -> Eval
     (no false alarms); recall with zero ground truths is reported as 0 and
     flagged.
     """
+    if not 0.0 < iou_criterion < 1.0:
+        raise ConfigError(f"IoU criterion must be in (0, 1), got {iou_criterion}")
     pairs, total_gt = _scored_labels(dets_by_image, gts_by_image, iou_criterion)
     warn = total_gt == 0
     points = []
@@ -104,42 +106,36 @@ def curve(dets_by_image: dict, gts_by_image: dict, iou_criterion: float) -> Eval
     return EvalCurve(points, iou_criterion, total_gt, warn)
 
 
-def tp_at_fp_budget(curve_or_pairs, fp_budget: int):
-    """Largest TP count reachable while keeping FP <= budget; returns (tp, fp, threshold)."""
-    if isinstance(curve_or_pairs, EvalCurve):
-        best = (0, 0, float("inf"))
-        for p in curve_or_pairs.points:
-            if p.fp <= fp_budget and p.tp >= best[0]:
-                best = (p.tp, p.fp, p.threshold)
-        return best
-    tp = fp = 0
+def tp_at_fp_budget(c: EvalCurve, fp_budget: int):
+    """Largest TP count at a curve point with FP <= budget; returns (tp, fp, threshold).
+
+    Only curve points count: a score threshold keeps every detection of a
+    group of equal scores or none of them.
+    """
     best = (0, 0, float("inf"))
-    for score, is_tp in curve_or_pairs:
-        tp += int(is_tp)
-        fp += int(not is_tp)
-        if fp > fp_budget:
-            break
-        if tp >= best[0]:
-            best = (tp, fp, float(score))
+    for p in c.points:
+        if p.fp <= fp_budget and p.tp >= best[0]:
+            best = (p.tp, p.fp, p.threshold)
     return best
+
+
+def sweep_rows(curves: list[EvalCurve], fp_budget: int) -> list[SweepRow]:
+    """TP rate at a fixed FP budget on each curve."""
+    rows = []
+    for c in curves:
+        tp, fp, thr = tp_at_fp_budget(c, fp_budget)
+        rate = tp / c.total_gt if c.total_gt else 0.0
+        rows.append(SweepRow(c.iou_criterion, tp, fp, rate, thr))
+    return rows
 
 
 def iou_sweep(dets_by_image: dict, gts_by_image: dict, criteria,
               fp_budget: int | None = None) -> list[SweepRow]:
     """TP rate at a fixed FP budget for each IoU criterion (default budget:
     one false positive per image)."""
-    for c in criteria:
-        if not 0.0 < c < 1.0:
-            raise ConfigError(f"IoU criterion must be in (0, 1), got {c}")
     if fp_budget is None:
         fp_budget = len(gts_by_image)
-    rows = []
-    for criterion in criteria:
-        pairs, total_gt = _scored_labels(dets_by_image, gts_by_image, criterion)
-        tp, fp, thr = tp_at_fp_budget(pairs, fp_budget)
-        rate = tp / total_gt if total_gt else 0.0
-        rows.append(SweepRow(criterion, tp, fp, rate, thr))
-    return rows
+    return sweep_rows([curve(dets_by_image, gts_by_image, c) for c in criteria], fp_budget)
 
 
 def curve_csv(c: EvalCurve) -> str:

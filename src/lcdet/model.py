@@ -34,6 +34,7 @@ DTYPE_U8 = 1
 
 LAYER_KINDS = ("conv", "maxpool", "detection_head")
 LAYER_ACTIVATIONS = ("relu", "leaky_relu", "identity", "final")
+LAYER_PADDINGS = ("same", "valid")
 
 
 @dataclass
@@ -81,8 +82,17 @@ class NetworkSpec:
         for i, layer in enumerate(self.layers):
             if layer.kind not in LAYER_KINDS:
                 raise ConfigError(f"layer {i}: unknown kind {layer.kind!r}")
-            if layer.kind != "maxpool" and layer.activation not in LAYER_ACTIVATIONS:
-                raise ConfigError(f"layer {i}: unknown activation {layer.activation!r}")
+            if layer.kind != "maxpool":
+                if layer.activation not in LAYER_ACTIVATIONS:
+                    raise ConfigError(f"layer {i}: unknown activation {layer.activation!r}")
+                if layer.kind == "detection_head" and layer.activation != "final":
+                    raise ConfigError(f"layer {i}: detection_head activation must be "
+                                      f"'final', got {layer.activation!r}")
+                if layer.kind == "conv" and layer.activation == "final":
+                    raise ConfigError(f"layer {i}: activation 'final' is reserved "
+                                      "for the detection_head")
+            if layer.padding not in LAYER_PADDINGS:
+                raise ConfigError(f"layer {i}: unknown padding {layer.padding!r}")
             if layer.stride < 1:
                 raise ConfigError(f"layer {i}: stride must be >= 1")
 
@@ -267,34 +277,45 @@ def check_resolution(spec: NetworkSpec, height: int, width: int):
             f"multiples of the total stride {ts}")
 
 
-def run_layers_float(model: Model, x: np.ndarray, outputs: list | None = None) -> np.ndarray:
-    """Float forward over a batch (N, H, W, C); returns the raw head output.
+def layer_activation(layer: LayerSpec) -> str:
+    """The elementwise activation closing a layer in every forward pass.
 
-    When ``outputs`` is a list, every layer's output (post layer activation,
-    head pre-split) is appended to it.
+    The detection head gets none: its split final activation is applied to
+    the dequantized float grid after the layer walk (``head_activation``).
     """
+    return "identity" if layer.kind == "detection_head" else layer.activation
+
+
+def run_layers(model: Model, x, record: list | None = None):
+    """Walk the layer list once; returns the raw head output.
+
+    ``x`` is a float batch (N, H, W, C), or a QuantizedTensor (H, W, C) for
+    the 8-bit path, whose layer outputs are requantized onto the model's
+    calibrated ranges. When ``record`` is a list, every layer's output
+    (after its activation, head before the split) is appended to it.
+    """
+    quantized = isinstance(x, QuantizedTensor)
     for i, (layer, lw) in enumerate(zip(model.spec.layers, model.weights)):
         try:
             if layer.kind == "maxpool":
-                x = maxpool2d_batched(x, layer.kernel[0], layer.stride)
+                pool = qmaxpool2d if quantized else maxpool2d_batched
+                x = pool(x, layer.kernel[0], layer.stride)
+            elif lw.quantized != quantized:
+                raise ConfigError("float weights in quantized mode; quantize the model first"
+                                  if quantized else
+                                  "model holds quantized weights; use quantized mode")
+            elif quantized:
+                x = qconv2d(x, lw.w, lw.b, layer.stride, layer.padding,
+                            out_params=model.calibration.layers[i],
+                            activation=layer_activation(layer))
             else:
-                if lw.quantized:
-                    raise ConfigError("model holds quantized weights; use quantized mode")
-                x = conv2d_batched(x, lw.w, lw.b, layer.stride, layer.padding)
-                if layer.kind != "detection_head" and layer.activation != "identity":
-                    x = activate(x, layer.activation)
+                x = activate(conv2d_batched(x, lw.w, lw.b, layer.stride, layer.padding),
+                             layer_activation(layer))
         except ConfigError as e:
             raise ConfigError(f"layer {i} ({layer.kind}): {e}") from e
-        if outputs is not None:
-            outputs.append(x)
+        if record is not None:
+            record.append(x)
     return x
-
-
-def forward_layer_outputs(model: Model, image: np.ndarray) -> list[np.ndarray]:
-    """Per-layer float outputs for one image (calibration hook)."""
-    outputs: list[np.ndarray] = []
-    run_layers_float(model, image[None].astype(np.float32, copy=False), outputs)
-    return [o[0] for o in outputs]
 
 
 def head_activation(raw: np.ndarray, num_classes: int, boxes_per_cell: int) -> np.ndarray:
@@ -311,30 +332,6 @@ def head_activation(raw: np.ndarray, num_classes: int, boxes_per_cell: int) -> n
     return out
 
 
-def _run_layers_quantized(model: Model, image: np.ndarray) -> np.ndarray:
-    calib = model.calibration
-    if calib is None:
-        raise ConfigError("quantized mode requires a calibration record")
-    if len(calib.layers) != len(model.spec.layers):
-        raise ConfigError("calibration record does not match the network layer count")
-    q = quantize_with(image, calib.input_range)
-    for i, (layer, lw) in enumerate(zip(model.spec.layers, model.weights)):
-        try:
-            if layer.kind == "maxpool":
-                q = qmaxpool2d(q, layer.kernel[0], layer.stride)
-            else:
-                if not lw.quantized:
-                    raise ConfigError("float weights in quantized mode; quantize the model first")
-                act = layer.activation if layer.kind != "detection_head" else "identity"
-                if act == "final":
-                    act = "identity"
-                q = qconv2d(q, lw.w, lw.b, layer.stride, layer.padding,
-                            out_params=calib.layers[i], activation=act)
-        except ConfigError as e:
-            raise ConfigError(f"layer {i} ({layer.kind}): {e}") from e
-    return dequantize(q)
-
-
 def forward(model: Model, image: np.ndarray, mode: str = "float") -> np.ndarray:
     """Single forward pass producing the activated (gh, gw, C + 5K) grid."""
     spec = model.spec
@@ -343,9 +340,15 @@ def forward(model: Model, image: np.ndarray, mode: str = "float") -> np.ndarray:
             f"image must be (H, W, {spec.input_channels}), got {image.shape}")
     check_resolution(spec, image.shape[0], image.shape[1])
     if mode == "float":
-        raw = run_layers_float(model, image[None].astype(np.float32, copy=False))[0]
+        raw = run_layers(model, image[None].astype(np.float32, copy=False))[0]
     elif mode == "quantized":
-        raw = _run_layers_quantized(model, image.astype(np.float32, copy=False))
+        calib = model.calibration
+        if calib is None:
+            raise ConfigError("quantized mode requires a calibration record")
+        if len(calib.layers) != len(spec.layers):
+            raise ConfigError("calibration record does not match the network layer count")
+        q = quantize_with(image.astype(np.float32, copy=False), calib.input_range)
+        raw = dequantize(run_layers(model, q))
     else:
         raise ConfigError(f"unknown mode {mode!r}")
     return head_activation(raw, spec.num_classes, spec.boxes_per_cell)
@@ -386,10 +389,10 @@ def _pack_record(arr: np.ndarray, params: QuantParams | None) -> bytes:
     dims = arr.shape
     if params is None:
         tag, payload = DTYPE_F32, arr.astype("<f4", copy=False).tobytes()
-        head = struct.pack("<BI", tag, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
     else:
         tag, payload = DTYPE_U8, arr.astype(np.uint8, copy=False).tobytes()
-        head = struct.pack("<BI", tag, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    head = struct.pack("<BI", tag, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    if params is not None:
         head += struct.pack("<2f", params.min, params.max)
     return head + payload + struct.pack("<I", zlib.crc32(payload))
 

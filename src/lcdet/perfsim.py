@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import NetworkSpec
+from .tensor import _out_and_pad
 
 QUANT_TENSOR_OVERHEAD = 8  # two float32 range values per quantized tensor
 
@@ -103,15 +104,6 @@ class PerfReport:
         return max(sum(l.act_bytes(mode)) for l in self.layers)
 
 
-def _spatial_out(size: int, k: int, stride: int, padding: str) -> int:
-    if padding == "valid":
-        out = (size - k) // stride + 1
-        if out < 1:
-            raise ConfigError(f"kernel {k} does not fit extent {size}")
-        return out
-    return -(-size // stride)
-
-
 def analyze(spec: NetworkSpec, input_dims: tuple[int, int]) -> PerfReport:
     """Per-layer OPs and byte counts for the given (width, height) input."""
     width, height = input_dims
@@ -120,16 +112,16 @@ def analyze(spec: NetworkSpec, input_dims: tuple[int, int]) -> PerfReport:
     for i, layer in enumerate(spec.layers):
         in_elems = h * w * c
         if layer.kind == "maxpool":
-            oh = _spatial_out(h, layer.kernel[0], layer.stride, "same")
-            ow = _spatial_out(w, layer.kernel[0], layer.stride, "same")
+            oh = _out_and_pad(h, layer.kernel[0], layer.stride, "same")[0]
+            ow = _out_and_pad(w, layer.kernel[0], layer.stride, "same")[0]
             oc = c
             ops = layer.kernel[0] * layer.kernel[1] * oh * ow * oc
             wf = wq = 0
             label = f"maxpool{layer.kernel[0]}x{layer.kernel[1]}/{layer.stride}"
         else:
             kh, kw = layer.kernel
-            oh = _spatial_out(h, kh, layer.stride, layer.padding)
-            ow = _spatial_out(w, kw, layer.stride, layer.padding)
+            oh = _out_and_pad(h, kh, layer.stride, layer.padding)[0]
+            ow = _out_and_pad(w, kw, layer.stride, layer.padding)[0]
             oc = layer.out_channels
             ops = 2 * kh * kw * c * oh * ow * oc
             n_weights = kh * kw * c * oc

@@ -185,7 +185,7 @@ def calibrate(model, images) -> CalibrationRecord:
     The detection head is recorded before its split output activation (the
     quantized path applies that activation in float after dequantizing).
     """
-    from .model import forward_layer_outputs  # deferred: model imports quant
+    from .model import run_layers  # deferred: model imports quant
 
     images = list(images)
     if not images:
@@ -194,7 +194,8 @@ def calibrate(model, images) -> CalibrationRecord:
     layer_trackers: list[RangeTracker] = []
     for image in images:
         input_tracker.update(image)
-        outputs = forward_layer_outputs(model, image)
+        outputs: list[np.ndarray] = []
+        run_layers(model, image[None].astype(np.float32, copy=False), record=outputs)
         if not layer_trackers:
             layer_trackers = [RangeTracker() for _ in outputs]
         for tracker, out in zip(layer_trackers, outputs):

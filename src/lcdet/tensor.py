@@ -60,16 +60,21 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: str):
     return np.ascontiguousarray(cols), oh, ow
 
 
-def col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: str) -> np.ndarray:
-    """Scatter-add patch gradients back to input positions (im2col adjoint)."""
+def col2im(taps: np.ndarray, x_shape, stride: int, padding: str) -> np.ndarray:
+    """Scatter-add patch gradients back to input positions (im2col adjoint).
+
+    ``taps`` is (kh, kw, N*oh*ow, C): the gradient of im2col's columns with
+    the kernel tap leading, so each tap adds whole rows of ``ow * C`` values.
+    """
+    kh, kw = taps.shape[:2]
     n, h, w, c = x_shape
     oh, pt, pb = _out_and_pad(h, kh, stride, padding)
     ow, pl, pr = _out_and_pad(w, kw, stride, padding)
-    padded = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=cols.dtype)
-    cols = cols.reshape(n, oh, ow, kh, kw, c)
+    padded = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=taps.dtype)
+    taps = taps.reshape(kh, kw, n, oh, ow, c)
     for dy in range(kh):
         for dx in range(kw):
-            padded[:, dy:dy + oh * stride:stride, dx:dx + ow * stride:stride, :] += cols[:, :, :, dy, dx, :]
+            padded[:, dy:dy + oh * stride:stride, dx:dx + ow * stride:stride, :] += taps[dy, dx]
     return padded[:, pt:pt + h, pl:pl + w, :]
 
 
@@ -108,8 +113,6 @@ def maxpool2d_batched(x: np.ndarray, size: int, stride: int) -> np.ndarray:
         raise ConfigError(f"pool window {size} larger than input {h}x{w}")
     oh = -(-h // stride)
     ow = -(-w // stride)
-    if size == stride and h % stride == 0 and w % stride == 0:
-        return x.reshape(n, oh, stride, ow, stride, c).max(axis=(2, 4))
     fill = -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min
     out = np.full((n, oh, ow, c), fill, dtype=x.dtype)
     for dy in range(size):
@@ -144,7 +147,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def activate(input: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise nonlinearity: relu, leaky_relu (slope 0.1), sigmoid, identity."""
+    """Elementwise nonlinearity: relu, leaky_relu (slope 0.1), sigmoid, identity.
+
+    ``identity`` returns ``input`` itself, not a copy.
+    """
     if kind == "relu":
         return np.maximum(input, 0)
     if kind == "leaky_relu":
@@ -152,7 +158,7 @@ def activate(input: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
         return sigmoid(input)
     if kind == "identity":
-        return np.asarray(input).copy()
+        return input
     raise ConfigError(f"unknown activation {kind!r}")
 
 

@@ -155,7 +155,12 @@ def test_infer_bad_model_file_is_data_error(tmp_path):
     assert run("infer", "--model", bad, "--out", tmp_path / "i", img) == 2
 
 
-def test_eval_reproduces_hand_curve(tmp_path):
+def test_eval_reproduces_hand_curve(tmp_path, monkeypatch):
+    import lcdet.evaluation as E
+    passes = []
+    scored_labels = E._scored_labels
+    monkeypatch.setattr(E, "_scored_labels",
+                        lambda *a: passes.append(a[2]) or scored_labels(*a))
     dets = tmp_path / "dets.jsonl"
     lines = []
     for (cx, score) in ((10.0, 0.9), (50.0, 0.8), (30.0, 0.7)):
@@ -179,6 +184,16 @@ def test_eval_reproduces_hand_curve(tmp_path):
     assert rates == sorted(rates, reverse=True)
     assert (out / "tp_fp.svg").read_text().startswith("<svg")
     assert (out / "curve_iou40.csv").exists() and (out / "curve_iou60.csv").exists()
+    assert sorted(passes) == [0.4, 0.5, 0.6]  # one matching pass per distinct criterion
+
+
+def test_eval_rejects_bad_main_criterion(tmp_path):
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text("")
+    gt = tmp_path / "gt.json"
+    gt.write_text("{}")
+    assert run("eval", "--detections", dets, "--ground-truth", gt, "--iou", "1.5",
+               "--out", tmp_path / "eval") == 2
 
 
 def test_analyze_paper_profile(tmp_path, capsys):
@@ -248,6 +263,20 @@ def test_analyze_model_input_required(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["train"]) == 1  # missing --out
+
+
+def test_threads_flag_is_gone(tmp_path):
+    assert run("analyze", "--profile", "toy", "--input", "112x112", "--threads", "1",
+               "--out", tmp_path / "an") == 1
+
+
+def test_train_rejects_backbone_final_activation(tmp_path):
+    cfg = M.profile_config("toy")
+    cfg["backbone"][0]["activation"] = "final"
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(cfg))
+    assert run("train", "--config", path, "--synthetic", 2, "--image-size", 32,
+               "--epochs", 1, "--quiet", "--out", tmp_path / "t") == 2
 
 
 def test_dataset_round_trip_via_cli(tmp_path):

@@ -123,13 +123,37 @@ def test_sweep_single_exact_detection():
     assert all(r.tp_rate == 1.0 for r in rows)
 
 
+def _labelled(pairs):
+    """One image whose matched detections give the (score, is_tp) pairs: each
+    TP sits on its own ground truth, each FP far from every box."""
+    dets, gts = [], []
+    for k, (score, is_tp) in enumerate(pairs):
+        x = 10.0 + 20.0 * k
+        dets.append(_det(x, 10.0 if is_tp else 100.0, 4, 4, score))
+        if is_tp:
+            gts.append(_gt(x, 10.0, 4, 4))
+    return {"a": dets}, {"a": gts}
+
+
 def test_tp_at_fp_budget_prefix():
-    pairs = [(0.9, True), (0.8, False), (0.7, True), (0.6, False), (0.5, False)]
-    tp, fp, thr = tp_at_fp_budget(pairs, 1)
+    c = curve(*_labelled([(0.9, True), (0.8, False), (0.7, True), (0.6, False),
+                          (0.5, False)]), 0.5)
+    tp, fp, thr = tp_at_fp_budget(c, 1)
     assert (tp, fp) == (2, 1)
     assert thr == pytest.approx(0.7)
-    tp0, fp0, _ = tp_at_fp_budget(pairs, 0)
+    tp0, fp0, _ = tp_at_fp_budget(c, 0)
     assert (tp0, fp0) == (1, 0)
+
+
+def test_fp_budget_never_splits_a_score_tie():
+    # threshold 0.5 keeps 2 TP and 2 FP, so a budget of 1 FP stops at 0.9
+    dets, gts = _labelled([(0.9, True), (0.5, False), (0.5, False), (0.5, True),
+                           (0.2, False)])
+    assert tp_at_fp_budget(curve(dets, gts, 0.5), 1) == (1, 0, 0.9)
+    (row,) = iou_sweep(dets, gts, [0.5], fp_budget=1)
+    assert (row.tp, row.fp, row.threshold) == (1, 0, 0.9)
+    (row,) = iou_sweep(dets, gts, [0.5], fp_budget=2)
+    assert (row.tp, row.fp, row.threshold) == (2, 2, 0.5)
 
 
 def test_greedy_equals_exhaustive_on_random_fixtures(rng):

@@ -85,6 +85,24 @@ def test_build_rejects_bad_config():
         M.build_lcdet(cfg)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("activation", "final", "reserved for the detection_head"),
+    ("padding", "full", "unknown padding"),
+])
+def test_build_rejects_layer_no_forward_runs(field, value, match):
+    cfg = M.profile_config("toy")
+    cfg["backbone"][0][field] = value
+    with pytest.raises(ConfigError, match=match):
+        M.build_lcdet(cfg)
+
+
+def test_load_rejects_head_without_final_activation():
+    model = M.init_model(M.build_lcdet(M.profile_config("toy")), seed=0)
+    model.spec.layers[-1].activation = "identity"
+    with pytest.raises(ConfigError, match="'final'"):
+        M.load(M.save(model))
+
+
 def test_parse_config_reports_line():
     with pytest.raises(Exception, match="line"):
         M.parse_config('{\n "backbone": [\n')
