@@ -18,7 +18,7 @@ import sys
 
 from . import data, detector, evaluation, perfsim, plot, quant, train
 from . import model as model_mod
-from .errors import LCDetError, NumericError, UsageError
+from .errors import DataError, LCDetError, NumericError, UsageError
 
 DEFAULT_SEED = 0
 
@@ -179,6 +179,9 @@ def cmd_eval(args) -> int:
     out = _prepare_out(args.out, args.force)
     dets = detector.read_jsonl(args.detections)
     gts = data.load_annotations(args.ground_truth)
+    if dets and gts and not dets.keys() & gts.keys():
+        raise DataError(f"detections and ground truth share no image id (detections: "
+                        f"{next(iter(dets))!r}, ground truth: {next(iter(gts))!r})")
     criteria = [float(v) for v in args.iou_sweep.split(",")] if args.iou_sweep else []
     # one matching pass per distinct criterion feeds its curve file, the plots
     # and the sweep rows

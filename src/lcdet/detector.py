@@ -4,7 +4,8 @@ The activated output grid is (gh, gw, C + 5K). Per cell, channels [0, C) are
 class probabilities; box b then owns channel C+5b (confidence) and channels
 C+5b+1..C+5b+4 as raw (x, y, w, h) outputs. x and y are cell-relative center
 offsets; w and h are square roots of image-relative extents, so decode
-squares them after clamping to [0, 1].
+squares them after clamping to [0, 1]. ``head_views`` is the one place that
+knows this layout; every other module reads the grid through it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 DEFAULT_EVAL_SCORE_THRESHOLD = 0.005
 DEFAULT_DEMO_SCORE_THRESHOLD = 0.25
@@ -47,6 +48,20 @@ def iou(a, b) -> float:
     return float(inter / union)
 
 
+def head_views(grid: np.ndarray, num_classes: int, boxes_per_cell: int):
+    """Split a (..., C + 5K) head grid into views (classes (..., C), boxes (..., K, 5)).
+
+    The box fields are ordered conf, x, y, sqrt-w, sqrt-h. Writing to either
+    view writes to ``grid``.
+    """
+    c, k = num_classes, boxes_per_cell
+    if k < 1 or grid.shape[-1] != c + 5 * k:
+        raise ConfigError(f"grid has {grid.shape[-1]} channels, expected C + 5K = {c + 5 * k} "
+                          f"for C = {c}, K = {k}")
+    # splitting the last axis in two never copies, so both are views
+    return grid[..., :c], grid[..., c:].reshape(grid.shape[:-1] + (k, 5))
+
+
 def decode(grid: np.ndarray, image_dims: tuple[int, int], num_classes: int,
            boxes_per_cell: int, score_threshold: float = DEFAULT_EVAL_SCORE_THRESHOLD
            ) -> list[Detection]:
@@ -56,26 +71,22 @@ def decode(grid: np.ndarray, image_dims: tuple[int, int], num_classes: int,
         grid: (gh, gw, C + 5K) activated output.
         image_dims: (width, height) in pixels.
     """
-    c, k = num_classes, boxes_per_cell
-    if grid.ndim != 3 or grid.shape[2] != c + 5 * k:
-        raise ConfigError(
-            f"grid has {grid.shape[-1] if grid.ndim == 3 else '?'} channels, "
-            f"expected C + 5K = {c + 5 * k}")
+    if grid.ndim != 3:
+        raise ConfigError(f"grid must be (gh, gw, C + 5K), got shape {grid.shape}")
+    class_probs, boxes = head_views(grid, num_classes, boxes_per_cell)
     gh, gw, _ = grid.shape
     width, height = image_dims
     stride_x = width / gw
     stride_y = height / gh
 
-    class_probs = grid[:, :, :c]
     class_ids = class_probs.argmax(axis=2)
     best_prob = np.take_along_axis(class_probs, class_ids[:, :, None], axis=2)[:, :, 0]
 
     dets: list[Detection] = []
-    for b in range(k):
-        ch = c + 5 * b
-        conf = grid[:, :, ch]
-        xy = np.clip(grid[:, :, ch + 1:ch + 3], 0.0, 1.0)
-        wh = np.clip(grid[:, :, ch + 3:ch + 5], 0.0, 1.0) ** 2
+    for b in range(boxes_per_cell):
+        conf = boxes[:, :, b, 0]
+        xy = np.clip(boxes[:, :, b, 1:3], 0.0, 1.0)
+        wh = np.clip(boxes[:, :, b, 3:5], 0.0, 1.0) ** 2
         score = conf * best_prob
         keep = np.argwhere(score >= score_threshold)
         for i, j in keep:
@@ -149,7 +160,6 @@ def read_jsonl(path) -> dict[str, list[Detection]]:
                                 score=float(rec["score"]))
                 image_id = rec["image_id"]
             except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-                from .errors import DataError
                 raise DataError(f"{path}:{lineno}: bad detection record: {e}") from e
             out.setdefault(image_id, []).append(det)
     return out

@@ -1,10 +1,10 @@
 """Network description, construction, forward passes, and the model file.
 
 A network is a flat list of layers (conv / maxpool / detection_head) ending
-in a detection head whose channel count is ``C + 5K``: C class channels
-followed, per box b, by one confidence channel and four raw coordinate
-channels (x, y, w, h). The final activation is split: sigmoid on confidence,
-softmax over classes (sigmoid when C == 1), identity on coordinates.
+in a detection head with ``C + 5K`` channels, laid out as
+``detector.head_views`` describes. The final activation is split: sigmoid on
+confidence, softmax over classes (sigmoid when C == 1), identity on
+coordinates.
 
 Model files are little-endian binary: magic ``LCDT``, a u32 version, a
 JSON-encoded network description, then one record per weight/bias tensor
@@ -17,14 +17,15 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import head_views
 from .errors import (BadMagicError, ChecksumError, ConfigError, DataError,
                      TruncatedError, VersionError)
 from .quant import (CalibrationRecord, QuantParams, QuantizedTensor, dequantize,
-                    qconv2d, qmaxpool2d, quantize_with)
+                    qconv2d, qmaxpool2d, quantize, quantize_with)
 from .tensor import activate, conv2d_batched, maxpool2d_batched, sigmoid, softmax
 
 MAGIC = b"LCDT"
@@ -83,6 +84,8 @@ class NetworkSpec:
             if layer.kind not in LAYER_KINDS:
                 raise ConfigError(f"layer {i}: unknown kind {layer.kind!r}")
             if layer.kind != "maxpool":
+                if layer.out_channels is None or layer.out_channels < 1:
+                    raise ConfigError(f"layer {i}: out_channels must be >= 1")
                 if layer.activation not in LAYER_ACTIVATIONS:
                     raise ConfigError(f"layer {i}: unknown activation {layer.activation!r}")
                 if layer.kind == "detection_head" and layer.activation != "final":
@@ -123,42 +126,63 @@ class Model:
 # ---------------------------------------------------------------------------
 # construction
 
-def _layer_from_dict(entry: dict, index: int) -> LayerSpec:
-    try:
-        kind = entry["kind"]
-    except KeyError:
-        raise ConfigError(f"backbone layer {index}: missing field 'kind'") from None
-    if kind == "maxpool":
-        size = int(entry.get("size", entry.get("kernel", [2, 2])[0]))
-        return LayerSpec(kind="maxpool", kernel=(size, size),
-                         stride=int(entry.get("stride", size)))
-    try:
-        kernel = entry["kernel"]
-        out_channels = int(entry["out_channels"])
-    except KeyError as e:
-        raise ConfigError(f"backbone layer {index}: missing field {e.args[0]!r}") from None
-    return LayerSpec(
-        kind=kind,
-        kernel=(int(kernel[0]), int(kernel[1])),
-        out_channels=out_channels,
-        stride=int(entry.get("stride", 1)),
-        padding=entry.get("padding", "same"),
-        activation=entry.get("activation", "relu"),
-    )
+def _json_is(value, types) -> bool:
+    """isinstance for parsed JSON, where true and false are not numbers; a
+    list ``[types]`` asks for a two-element list of them (a kernel, a range)."""
+    if isinstance(types, list):
+        return (isinstance(value, list) and len(value) == 2
+                and all(_json_is(v, types[0]) for v in value))
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
-def build_lcdet(config: dict, num_classes: int | None = None,
-                boxes_per_cell: int | None = None) -> NetworkSpec:
+def _fields(d, schema: dict, where: str) -> dict:
+    """The ``schema`` fields of the JSON object ``d``; a ConfigError names the
+    first one that is missing or not of its type."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(d).__name__}")
+    for key, types in schema.items():
+        if key not in d:
+            raise ConfigError(f"{where}: missing field {key!r}")
+        if not _json_is(d[key], types):
+            raise ConfigError(f"{where}: field {key!r} has the wrong type: {d[key]!r:.40}")
+    return {key: d[key] for key in schema}
+
+
+_LAYER_FIELDS = {"kind": str, "kernel": [int], "out_channels": (int, type(None)),
+                 "stride": int, "padding": str, "activation": str}
+_NETWORK_FIELDS = {"layers": list, "num_classes": int, "boxes_per_cell": int,
+                   "input_channels": int}
+_RANGE = [(int, float)]
+
+
+def _layer_spec(entry, where: str) -> LayerSpec:
+    layer = _fields(entry, _LAYER_FIELDS, where)
+    return LayerSpec(**{**layer, "kernel": tuple(layer["kernel"])})
+
+
+def _layer_from_dict(entry, index: int) -> LayerSpec:
+    """A config backbone layer; the fields it leaves out take their defaults."""
+    where = f"backbone layer {index}"
+    if _fields(entry, {"kind": str}, where)["kind"] == "maxpool":
+        size = entry.get("size", _fields({"kernel": [2, 2], **entry}, {"kernel": [int]},
+                                         where)["kernel"][0])
+        entry = {"stride": size, **entry, "kernel": [size, size], "out_channels": None,
+                 "padding": "same", "activation": "identity"}
+    else:
+        entry = {"stride": 1, "padding": "same", "activation": "relu", **entry}
+    return _layer_spec(entry, where)
+
+
+def build_lcdet(config: dict) -> NetworkSpec:
     """Build the detector: configured backbone plus the two-conv detection head.
 
     The head is a 3x3 conv (channel count from ``convdet_channels``) with
     ReLU, then a 1x1 conv to C + 5K channels carrying the split final
-    activation.
+    activation. C and K come from the config's ``num_classes`` (default 1)
+    and ``boxes_per_cell`` (default 3).
     """
-    c = int(num_classes if num_classes is not None else config.get("num_classes", 1))
-    k = int(boxes_per_cell if boxes_per_cell is not None else config.get("boxes_per_cell", 3))
-    if c < 1 or k < 1:
-        raise ConfigError("num_classes and boxes_per_cell must be >= 1")
+    c = int(config.get("num_classes", 1))
+    k = int(config.get("boxes_per_cell", 3))
     layers = [_layer_from_dict(entry, i) for i, entry in enumerate(config.get("backbone", []))]
     convdet = int(config.get("convdet_channels", 256))
     layers.append(LayerSpec(kind="conv", kernel=(3, 3), out_channels=convdet,
@@ -253,11 +277,10 @@ def init_model(spec: NetworkSpec, seed: int = 0) -> Model:
         if layer.kind == "detection_head":
             w = rng.normal(0.0, 0.01, size=(kh, kw, in_ch, layer.out_channels))
             b = np.zeros(layer.out_channels, dtype=np.float32)
-            c, k = spec.num_classes, spec.boxes_per_cell
-            for box in range(k):
-                # centered offsets and a quarter-image size prior; identical
-                # box priors let responsibility settle on one predictor early
-                b[c + 5 * box + 1:c + 5 * box + 5] = 0.5
+            # centered offsets and a quarter-image size prior; identical
+            # box priors let responsibility settle on one predictor early
+            _, boxes = head_views(b, spec.num_classes, spec.boxes_per_cell)
+            boxes[:, 1:] = 0.5
         else:
             w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(kh, kw, in_ch, layer.out_channels))
             b = np.zeros(layer.out_channels, dtype=np.float32)
@@ -321,14 +344,13 @@ def run_layers(model: Model, x, record: list | None = None):
 def head_activation(raw: np.ndarray, num_classes: int, boxes_per_cell: int) -> np.ndarray:
     """Split final activation: sigmoid confidence, softmax classes, raw coords."""
     out = np.array(raw, copy=True)
-    c = num_classes
-    if c == 1:
-        out[..., 0] = sigmoid(raw[..., 0])
+    raw_classes, raw_boxes = head_views(raw, num_classes, boxes_per_cell)
+    classes, boxes = head_views(out, num_classes, boxes_per_cell)
+    if num_classes == 1:
+        classes[...] = sigmoid(raw_classes)
     else:
-        out[..., :c] = softmax(raw[..., :c], axis=-1)
-    for b in range(boxes_per_cell):
-        ch = c + 5 * b
-        out[..., ch] = sigmoid(raw[..., ch])
+        classes[...] = softmax(raw_classes, axis=-1)
+    boxes[..., 0] = sigmoid(raw_boxes[..., 0])
     return out
 
 
@@ -357,32 +379,23 @@ def forward(model: Model, image: np.ndarray, mode: str = "float") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _spec_to_dict(spec: NetworkSpec) -> dict:
-    return {
-        "name": spec.name,
-        "num_classes": spec.num_classes,
-        "boxes_per_cell": spec.boxes_per_cell,
-        "input_channels": spec.input_channels,
-        "layers": [
-            {"kind": l.kind, "kernel": list(l.kernel), "out_channels": l.out_channels,
-             "stride": l.stride, "padding": l.padding, "activation": l.activation}
-            for l in spec.layers
-        ],
-    }
-
-
-def _spec_from_dict(d: dict) -> NetworkSpec:
-    layers = [
-        LayerSpec(kind=e["kind"], kernel=tuple(e["kernel"]),
-                  out_channels=e["out_channels"], stride=e["stride"],
-                  padding=e["padding"], activation=e["activation"])
-        for e in d["layers"]
-    ]
-    spec = NetworkSpec(layers=layers, num_classes=d["num_classes"],
-                       boxes_per_cell=d["boxes_per_cell"],
-                       input_channels=d["input_channels"], name=d.get("name", "custom"))
+def _spec_from_dict(d) -> NetworkSpec:
+    where = "model header"
+    net = _fields(d, _NETWORK_FIELDS, where)
+    layers = [_layer_spec(e, f"{where} layer {i}") for i, e in enumerate(net["layers"])]
+    spec = NetworkSpec(**{**net, "layers": layers}, name=str(d.get("name", "custom")))
     spec.validate()
     return spec
+
+
+def _calibration_from_dict(d) -> CalibrationRecord:
+    where = "model header calibration"
+    cal = _fields(d, {"input": _RANGE, "layers": list}, where)
+    for i, r in enumerate(cal["layers"]):
+        if not _json_is(r, _RANGE):
+            raise ConfigError(f"{where}: layers[{i}] is not a [min, max] pair: {r!r}")
+    return CalibrationRecord(QuantParams(*cal["input"]),
+                             [QuantParams(*r) for r in cal["layers"]])
 
 
 def _pack_record(arr: np.ndarray, params: QuantParams | None) -> bytes:
@@ -439,7 +452,7 @@ def _read_record(r: _Reader):
 
 def save(model: Model) -> bytes:
     """Serialize a model to bytes; ``load(save(m))`` is bit-identical."""
-    header = _spec_to_dict(model.spec)
+    header = {**vars(model.spec), "layers": [vars(layer) for layer in model.spec.layers]}
     if model.calibration is not None:
         header["calibration"] = {
             "input": [model.calibration.input_range.min, model.calibration.input_range.max],
@@ -475,10 +488,7 @@ def load(data: bytes) -> Model:
     spec = _spec_from_dict(header)
     calibration = None
     if header.get("calibration") is not None:
-        cal = header["calibration"]
-        calibration = CalibrationRecord(
-            QuantParams(*cal["input"]),
-            [QuantParams(lo, hi) for lo, hi in cal["layers"]])
+        calibration = _calibration_from_dict(header["calibration"])
     weights = []
     for layer in spec.layers:
         if layer.kind == "maxpool":
@@ -507,7 +517,6 @@ def load_file(path) -> Model:
 
 def quantize_model(model: Model, calibration: CalibrationRecord) -> Model:
     """Quantize every conv weight tensor per-tensor; biases stay float32."""
-    from .quant import quantize
     if model.quantized:
         raise ConfigError("model is already quantized")
     weights = []

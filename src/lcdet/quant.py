@@ -50,10 +50,6 @@ class QuantizedTensor:
         if self.data.dtype != np.uint8:
             raise ConfigError(f"quantized payload must be u8, got {self.data.dtype}")
 
-    @property
-    def dims(self):
-        return self.data.shape
-
 
 @dataclass
 class CalibrationRecord:

@@ -104,6 +104,20 @@ def conv2d(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return conv2d_batched(input[None], weights, bias, stride, padding)[0]
 
 
+def pool_windows(h: int, w: int, size: int, stride: int):
+    """Yield ``(in_slice, out_slice)`` per window offset (dy, dx), row-major:
+    ``x[in_slice]`` is that offset of every (N, h, w, C) window reaching it,
+    aligned with ``out[out_slice]``; clipped trailing windows drop out.
+    Needs ``size <= h`` and ``size <= w``."""
+    for dy in range(size):
+        ohv = -(-(h - dy) // stride)
+        for dx in range(size):
+            owv = -(-(w - dx) // stride)
+            yield (np.s_[:, dy:dy + (ohv - 1) * stride + 1:stride,
+                         dx:dx + (owv - 1) * stride + 1:stride],
+                   np.s_[:, :ohv, :owv])
+
+
 def maxpool2d_batched(x: np.ndarray, size: int, stride: int) -> np.ndarray:
     """Max pooling over (N, H, W, C); trailing partial windows are clipped."""
     n, h, w, c = x.shape
@@ -111,20 +125,10 @@ def maxpool2d_batched(x: np.ndarray, size: int, stride: int) -> np.ndarray:
         raise ConfigError(f"pool size/stride must be >= 1, got {size}/{stride}")
     if size > h or size > w:
         raise ConfigError(f"pool window {size} larger than input {h}x{w}")
-    oh = -(-h // stride)
-    ow = -(-w // stride)
     fill = -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min
-    out = np.full((n, oh, ow, c), fill, dtype=x.dtype)
-    for dy in range(size):
-        ohv = max(0, -(-(h - dy) // stride))
-        if ohv == 0:
-            continue
-        for dx in range(size):
-            owv = max(0, -(-(w - dx) // stride))
-            if owv == 0:
-                continue
-            sub = x[:, dy:dy + (ohv - 1) * stride + 1:stride, dx:dx + (owv - 1) * stride + 1:stride]
-            np.maximum(out[:, :ohv, :owv], sub, out=out[:, :ohv, :owv])
+    out = np.full((n, -(-h // stride), -(-w // stride), c), fill, dtype=x.dtype)
+    for sl, osl in pool_windows(h, w, size, stride):
+        np.maximum(out[osl], x[sl], out=out[osl])
     return out
 
 

@@ -196,6 +196,41 @@ def test_eval_rejects_bad_main_criterion(tmp_path):
                "--out", tmp_path / "eval") == 2
 
 
+def _infer_on_dataset(tmp_path):
+    """Detections from ``lcdet infer DIR/*.ppm`` and the dataset's annotations."""
+    model = _train(tmp_path, "run") / "model.lcdet"
+    dataset = tmp_path / "data"
+    write_dataset(synth_dataset(3, (32, 32), seed=4), dataset)
+    images = sorted(str(p) for p in dataset.glob("*.ppm"))
+    out = tmp_path / "inf"
+    assert run("infer", "--model", model, "--out", out, "--score-threshold", "0.0",
+               *images) == 0
+    annotations = json.loads((dataset / "annotations.json").read_text())
+    return out / "detections.jsonl", annotations, images
+
+
+def test_eval_rejects_disjoint_image_ids(tmp_path, capsys):
+    dets, annotations, _ = _infer_on_dataset(tmp_path)
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps(annotations))  # keyed by file name, detections by path
+    capsys.readouterr()
+    assert run("eval", "--detections", dets, "--ground-truth", gt,
+               "--out", tmp_path / "eval") == 2
+    err = capsys.readouterr().err
+    assert "share no image id" in err and sorted(annotations)[0] in err
+
+
+def test_eval_accepts_path_keyed_ground_truth(tmp_path, capsys):
+    dets, annotations, images = _infer_on_dataset(tmp_path)
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({p: annotations[os.path.basename(p)] for p in images}))
+    capsys.readouterr()
+    assert run("eval", "--detections", dets, "--ground-truth", gt,
+               "--out", tmp_path / "eval") == 0
+    total = sum(len(v) for v in annotations.values())
+    assert f"total gts {total};" in capsys.readouterr().out
+
+
 def test_analyze_paper_profile(tmp_path, capsys):
     out = tmp_path / "an"
     assert run("analyze", "--profile", "paper", "--out", out, "--input",

@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 import lcdet.model as M
-from lcdet.errors import (BadMagicError, ChecksumError, ConfigError,
+from lcdet.errors import (BadMagicError, ChecksumError, ConfigError, DataError,
                           TruncatedError, VersionError)
 from lcdet.quant import calibrate
 
@@ -10,12 +13,12 @@ from conftest import tiny_net_spec
 
 
 def test_head_channels_single_class():
-    spec = M.build_lcdet(M.profile_config("toy"), num_classes=1, boxes_per_cell=3)
+    spec = M.build_lcdet({**M.profile_config("toy"), "num_classes": 1, "boxes_per_cell": 3})
     assert spec.layers[-1].out_channels == 16
 
 
 def test_head_channels_multi_class():
-    spec = M.build_lcdet(M.profile_config("toy"), num_classes=20, boxes_per_cell=3)
+    spec = M.build_lcdet({**M.profile_config("toy"), "num_classes": 20, "boxes_per_cell": 3})
     assert spec.layers[-1].out_channels == 35
 
 
@@ -88,6 +91,8 @@ def test_build_rejects_bad_config():
 @pytest.mark.parametrize("field, value, match", [
     ("activation", "final", "reserved for the detection_head"),
     ("padding", "full", "unknown padding"),
+    ("kernel", 3, "field 'kernel'"),
+    ("stride", None, "field 'stride'"),
 ])
 def test_build_rejects_layer_no_forward_runs(field, value, match):
     cfg = M.profile_config("toy")
@@ -182,6 +187,64 @@ def test_load_truncated():
     blob = M.save(_small_model())
     with pytest.raises(TruncatedError):
         M.load(blob[:len(blob) - 10])
+
+
+def _with_header(blob: bytes, mutate) -> bytes:
+    """The model file ``blob`` with its JSON header passed through ``mutate``."""
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + n])
+    mutate(header)
+    text = json.dumps(header).encode()
+    return blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + n:]
+
+
+_DROP = object()
+
+
+def _edit(*path, value=_DROP):
+    """A header mutation: set the field at ``path`` to ``value``, or delete it."""
+    def mutate(header):
+        *parents, last = path
+        for key in parents:
+            header = header[key]
+        if value is _DROP:
+            del header[last]
+        else:
+            header[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_edit("layers"), "model header: missing field 'layers'"),
+    (_edit("layers", value={"kind": "conv"}), "model header: field 'layers'"),
+    (_edit("layers", 0, value=7), "model header layer 0: expected a JSON object"),
+    (_edit("layers", 0, "stride"), "model header layer 0: missing field 'stride'"),
+    (_edit("layers", 0, "stride", value="2"), "model header layer 0: field 'stride'"),
+    (_edit("layers", 0, "kernel", value=[3]), "model header layer 0: field 'kernel'"),
+    (_edit("layers", 1, "kernel", value=["2", "2"]), "model header layer 1: field 'kernel'"),
+    (_edit("layers", 2, "out_channels", value=8.5), "model header layer 2: field 'out_channels'"),
+    (_edit("layers", 0, "out_channels", value=None), "layer 0: out_channels must be >= 1"),
+    (_edit("layers", 5, "activation"), "model header layer 5: missing field 'activation'"),
+    (_edit("num_classes"), "model header: missing field 'num_classes'"),
+    (_edit("boxes_per_cell", value=True), "model header: field 'boxes_per_cell'"),
+    (_edit("calibration", value=[0, 1]), "model header calibration: expected a JSON object"),
+    (_edit("calibration", "input", value=[0]), "model header calibration: field 'input'"),
+    (_edit("calibration", "layers"), "model header calibration: missing field 'layers'"),
+    (_edit("calibration", "layers", 3, value=[0, "1"]), "model header calibration: layers[3]"),
+])
+def test_malformed_header_is_a_data_error(tmp_path, capsys, mutate, message):
+    from lcdet.cli import main
+    model = _small_model()
+    rec = calibrate(model, [np.random.default_rng(0).random((8, 8, 3), dtype=np.float32)])
+    path = tmp_path / "bad.lcdet"
+    path.write_bytes(_with_header(M.save(M.quantize_model(model, rec)), mutate))
+    with pytest.raises(DataError, match=re.escape(message)):
+        M.load(path.read_bytes())
+    code = main(["analyze", "--model", str(path), "--input", "8x8",
+                 "--out", str(tmp_path / "an")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error: ")
 
 
 def test_quantized_forward_close_to_float(rng):

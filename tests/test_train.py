@@ -391,3 +391,82 @@ def test_synth_augment_keeps_centers_inside():
         assert len(gts) >= 1
         for g in gts:
             assert 0 <= g.cx < 64 and 0 <= g.cy < 64
+
+
+# ---------------------------------------------------------------------------
+# the loss over a batch, the head gradient, and the pool backward
+
+def test_batched_loss_and_gradient_match_per_image(rng):
+    cfg = T.LossConfig()
+    for c, k in ((1, 3), (3, 2)):
+        pairs = [random_grid_target(rng, 4, 5, c, k, n_objects=int(rng.integers(0, 5)))
+                 for _ in range(3)]
+        grids = np.stack([g for g, _ in pairs])
+        target = T.stack_targets([t for _, t in pairs])
+        resolved = T.resolve_targets(grids, target, c)
+        parts = T.detection_loss(grids, target, cfg, c, resolved)
+        grad = T.loss_grid_gradient(grids, target, cfg, c, resolved)
+        want = np.zeros(4)
+        for n, (g, t) in enumerate(pairs):
+            res = T.resolve_targets(g, t, c)
+            np.testing.assert_array_equal(resolved.responsible[n], res.responsible)
+            np.testing.assert_array_equal(grad[n], T.loss_grid_gradient(g, t, cfg, c, res))
+            p = T.detection_loss(g, t, cfg, c, res)
+            want += (p.coord, p.obj_conf, p.noobj_conf, p.class_)
+        got = (parts.coord, parts.obj_conf, parts.noobj_conf, parts.class_)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_head_gradient_matches_finite_differences(rng):
+    # raw grid -> split activation -> loss, for C > 1 (softmax classes) and a
+    # responsible w and h well below SQRT_FLOOR (the clamp passes no gradient)
+    from lcdet.detector import head_views
+    cfg = T.LossConfig()
+    step = 1e-5
+    for c in (1, 2, 3):
+        for k in (1, 2, 3):
+            raw = rng.normal(0.4, 0.8, size=(3, 3, c + 5 * k))
+            _, target = random_grid_target(rng, 3, 3, c, k, n_objects=3)
+            resolved = T.resolve_targets(M.head_activation(raw, c, k), target, c)
+            i, j = np.argwhere(target.object_mask)[0]
+            r = resolved.responsible[i, j]
+            _, raw_boxes = head_views(raw, c, k)
+            raw_boxes[i, j, r, 3] = -0.5
+            raw_boxes[i, j, r, 4] = -1e-4
+
+            def loss(x):
+                return T.detection_loss(M.head_activation(x, c, k), target, cfg, c,
+                                        resolved).total
+
+            act = M.head_activation(raw, c, k)
+            analytic = T.head_activation_backward(
+                act, T.loss_grid_gradient(act, target, cfg, c, resolved), c, k)
+            numeric = np.zeros_like(raw)
+            for idx in np.ndindex(raw.shape):
+                orig = raw[idx]
+                raw[idx] = orig + step
+                up = loss(raw)
+                raw[idx] = orig - step
+                numeric[idx] = (up - loss(raw)) / (2 * step)
+                raw[idx] = orig
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+            _, grad_boxes = head_views(analytic, c, k)
+            assert grad_boxes[i, j, r, 3] == 0.0 and grad_boxes[i, j, r, 4] == 0.0
+
+
+def test_maxpool_backward_routes_to_first_maximum(rng):
+    # overlapping (size > stride), gapped (size < stride) and clipped windows;
+    # small integer inputs tie often, and integer gradients sum exactly
+    from lcdet.tensor import maxpool2d_batched
+    for size, stride, h, w in ((2, 2, 7, 5), (3, 2, 7, 8), (3, 1, 5, 6), (2, 3, 8, 7)):
+        x = rng.integers(0, 3, size=(2, h, w, 3)).astype(np.float32)
+        y = maxpool2d_batched(x, size, stride)
+        gy = rng.integers(-4, 5, size=y.shape).astype(np.float32)
+        got = T._maxpool_backward({"x": x, "out": y, "size": size, "stride": stride}, gy)
+        want = np.zeros_like(x)
+        for n, oi, oj, ch in np.ndindex(y.shape):
+            win = x[n, oi * stride:oi * stride + size, oj * stride:oj * stride + size, ch]
+            assert y[n, oi, oj, ch] == win.max()
+            a, b = np.unravel_index(np.argmax(win), win.shape)  # first maximum, row-major
+            want[n, oi * stride + a, oj * stride + b, ch] += gy[n, oi, oj, ch]
+        assert got.tobytes() == want.tobytes()
