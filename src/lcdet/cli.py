@@ -35,6 +35,26 @@ def _prepare_out(path: str, force: bool) -> str:
     return path
 
 
+def _read_input(path: str, what: str, load=None):
+    """``load(path)``, or the file's text when ``load`` is None. A path that
+    cannot be read is a usage error (exit 1), text that does not decode or
+    parse as JSON a data error (exit 2)."""
+    try:
+        if load is None:
+            with open(path) as f:
+                return f.read()
+        return load(path)
+    except OSError as e:
+        raise UsageError(f"cannot read {what} {path!r}: {e.strerror or e}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DataError(f"{what} {path!r}: {e}") from None
+
+
+def _read_json(path: str):
+    with open(path) as f:
+        return json.load(f)
+
+
 def _write(path: str, text: str):
     with open(path, "w") as f:
         f.write(text)
@@ -48,8 +68,7 @@ def _write_resolved(out_dir: str, command: str, options: dict):
 
 def _load_network_config(args) -> dict:
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            return model_mod.parse_config(f.read())
+        return model_mod.parse_config(_read_input(args.config, "config"))
     return model_mod.profile_config(args.profile)
 
 
@@ -65,7 +84,6 @@ def _parse_dims(text: str) -> tuple[int, int]:
 # train
 
 def cmd_train(args) -> int:
-    out = _prepare_out(args.out, args.force)
     config = _load_network_config(args)
     spec = model_mod.build_lcdet(config)
     image_size = args.image_size or config.get("input_size", 112)
@@ -73,9 +91,10 @@ def cmd_train(args) -> int:
         dataset = data.synth_dataset(args.synthetic, (image_size, image_size),
                                      seed=args.seed, augment=args.augment)
     elif args.dataset:
-        dataset = data.load_dataset(args.dataset)
+        dataset = _read_input(args.dataset, "dataset", data.load_dataset)
     else:
         raise UsageError("train needs --synthetic N or --dataset DIR")
+    out = _prepare_out(args.out, args.force)
     loss_cfg = train.LossConfig(lambda_coord=args.lambda_coord,
                                 lambda_noobj=args.lambda_noobj)
     decay_epochs = tuple(int(v) for v in args.lr_decay_epochs.split(",") if v)
@@ -111,21 +130,19 @@ def cmd_train(args) -> int:
 
 def _calibration_images(directory: str) -> list:
     names = sorted(n for n in os.listdir(directory) if n.endswith(".ppm"))
-    return [data.read_ppm(os.path.join(directory, n)) for n in names]
+    return [_read_input(os.path.join(directory, n), "image", data.read_ppm) for n in names]
 
 
 def cmd_quantize(args) -> int:
-    out = _prepare_out(args.out, args.force)
-    net = model_mod.load_file(args.model)
+    net = _read_input(args.model, "model", model_mod.load_file)
     if net.quantized:
         raise UsageError(f"{args.model} is already quantized")
-    if not os.path.isdir(args.calib):
-        raise UsageError(f"calibration directory {args.calib!r} not found")
-    images = _calibration_images(args.calib)
+    images = _read_input(args.calib, "calibration directory", _calibration_images)
     if args.calib_limit:
         images = images[:args.calib_limit]
     if not images:
         raise UsageError(f"calibration directory {args.calib!r} holds no .ppm images")
+    out = _prepare_out(args.out, args.force)
     record = quant.calibrate(net, images)
     qnet = model_mod.quantize_model(net, record)
     out_path = os.path.join(out, "model_q.lcdet")
@@ -146,17 +163,17 @@ def cmd_quantize(args) -> int:
 # infer
 
 def cmd_infer(args) -> int:
-    out = _prepare_out(args.out, args.force)
-    net = model_mod.load_file(args.model)
+    net = _read_input(args.model, "model", model_mod.load_file)
     spec = net.spec
     dets_by_image = {}
     for path in args.images:
-        img = data.read_ppm(path)
+        img = _read_input(path, "image", data.read_ppm)
         grid = model_mod.forward(net, img, mode=args.mode)
         dets = detector.decode(grid, (img.shape[1], img.shape[0]),
                                spec.num_classes, spec.boxes_per_cell,
                                score_threshold=args.score_threshold)
         dets_by_image[path] = detector.nms(dets, args.nms_iou)
+    out = _prepare_out(args.out, args.force)
     detector.write_jsonl(os.path.join(out, "detections.jsonl"), dets_by_image)
     if args.fddb:
         blocks = [detector.fddb_text(p, d) for p, d in dets_by_image.items()]
@@ -176,13 +193,13 @@ def cmd_infer(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
-    out = _prepare_out(args.out, args.force)
-    dets = detector.read_jsonl(args.detections)
-    gts = data.load_annotations(args.ground_truth)
+    dets = _read_input(args.detections, "detections", detector.read_jsonl)
+    gts = _read_input(args.ground_truth, "ground truth", data.load_annotations)
     if dets and gts and not dets.keys() & gts.keys():
         raise DataError(f"detections and ground truth share no image id (detections: "
                         f"{next(iter(dets))!r}, ground truth: {next(iter(gts))!r})")
     criteria = [float(v) for v in args.iou_sweep.split(",")] if args.iou_sweep else []
+    out = _prepare_out(args.out, args.force)
     # one matching pass per distinct criterion feeds its curve file, the plots
     # and the sweep rows
     curves = {c: evaluation.curve(dets, gts, c) for c in dict.fromkeys([args.iou, *criteria])}
@@ -224,9 +241,8 @@ def cmd_eval(args) -> int:
 # analyze
 
 def cmd_analyze(args) -> int:
-    out = _prepare_out(args.out, args.force)
     if args.model:
-        spec = model_mod.load_file(args.model).spec
+        spec = _read_input(args.model, "model", model_mod.load_file).spec
         input_size = None
     else:
         config = _load_network_config(args)
@@ -238,6 +254,13 @@ def cmd_analyze(args) -> int:
         dims = (input_size, input_size)
     else:
         raise UsageError("--input WxH required when the config has no default size")
+    scenario_cfg = {"compute_rate": args.compute_rate, "bandwidths_gbps": None}
+    if args.scenario:
+        loaded = _read_input(args.scenario, "scenario", _read_json)
+        if not isinstance(loaded, dict):
+            raise DataError(f"scenario {args.scenario!r}: root must be a JSON object")
+        scenario_cfg.update(loaded)
+    out = _prepare_out(args.out, args.force)
     report = perfsim.analyze(spec, dims)
     _write(os.path.join(out, "layers.csv"), perfsim.report_csv(report))
 
@@ -247,11 +270,6 @@ def cmd_analyze(args) -> int:
         print(f"  {kind:8s} {heads[kind]:>12,d}")
     print(f"  yldet/convdet ratio: {heads['yldet_over_convdet']:.1f}x")
 
-    scenario_cfg = {"compute_rate": args.compute_rate, "bandwidths_gbps": None}
-    if args.scenario:
-        with open(args.scenario) as f:
-            loaded = json.load(f)
-        scenario_cfg.update(loaded)
     if args.bw_sweep:
         scenario_cfg["bandwidths_gbps"] = [float(v) for v in args.bw_sweep.split(",")]
 

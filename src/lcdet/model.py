@@ -490,7 +490,8 @@ def load(data: bytes) -> Model:
     if header.get("calibration") is not None:
         calibration = _calibration_from_dict(header["calibration"])
     weights = []
-    for layer in spec.layers:
+    in_ch = spec.input_channels
+    for i, layer in enumerate(spec.layers):
         if layer.kind == "maxpool":
             weights.append(LayerWeights())
             continue
@@ -498,8 +499,13 @@ def load(data: bytes) -> Model:
         b, bparams = _read_record(r)
         if bparams is not None:
             raise DataError("bias records must be float32")
+        want = (*layer.kernel, in_ch, layer.out_channels)
+        if w.shape != want or b.shape != want[3:]:
+            raise DataError(f"model layer {i} ({layer.kind}): records hold weights {w.shape} "
+                            f"and bias {b.shape}, the header says {want} and {want[3:]}")
         lw = LayerWeights(QuantizedTensor(w, params) if params is not None else w, b)
         weights.append(lw)
+        in_ch = layer.out_channels
     if r.pos != len(data):
         raise DataError(f"{len(data) - r.pos} trailing bytes after last record")
     return Model(spec=spec, weights=weights, calibration=calibration)

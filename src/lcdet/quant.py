@@ -3,10 +3,12 @@
 A float tensor is mapped onto bytes by storing its (min, max) range and
 rounding ``255 * (w - min) / (max - min)`` to the nearest integer, ties away
 from zero. ``qconv2d`` keeps the whole convolution in integer arithmetic:
-u8 inputs and weights multiply into signed integer accumulators (the window
-bound makes 32 bits provably sufficient), and the affine offsets, float bias
-and activation are folded in exactly once per output element before
-requantizing with the calibrated output range.
+u8 inputs and weights multiply into integer window sums, and the affine
+offsets, float bias and activation are folded in exactly once per output
+element before requantizing with the calibrated output range. The products
+are summed exactly in float64 BLAS: every sum is an integer below 2**31, far
+under float64's 2**53. The window bound that keeps sums below 2**31 stays
+as the 32-bit accumulator contract of an embedded integer target.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .tensor import _out_and_pad, activate, im2col, maxpool2d_batched
+from .tensor import activate, im2col, maxpool2d_batched
 
 # With u8 operands, products are < 2**16 and a window of up to 2**15 terms
-# keeps the accumulator below 2**31: safe even in a 32-bit signed register.
+# keeps every sum below 2**31: the 32-bit signed accumulator contract of an
+# embedded target. Here the sums run in float64 BLAS, exact up to 2**53.
 MAX_WINDOW_TERMS = 1 << 15
 
 
@@ -63,19 +66,22 @@ class CalibrationRecord:
     layers: list[QuantParams] = field(default_factory=list)
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def quantize_with(w: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Quantize onto a caller-supplied range; values outside it saturate."""
+    """Quantize onto a caller-supplied range; values outside it saturate.
+
+    Every value below 0 saturates to byte 0, so rounding half away from zero
+    is ``floor(v + 0.5)`` on every byte that survives; one float64 buffer.
+    """
     w = np.asarray(w)
     span = params.max - params.min
     if span <= 0.0:
         data = np.zeros(w.shape, dtype=np.uint8)
     else:
-        v = (w.astype(np.float64) - params.min) * (255.0 / span)
-        data = np.clip(_round_half_away(v), 0.0, 255.0).astype(np.uint8)
+        v = np.array(w, dtype=np.float64)
+        v -= params.min
+        v *= 255.0 / span
+        v += 0.5
+        data = np.clip(np.floor(v, out=v), 0.0, 255.0, out=v).astype(np.uint8)
     return QuantizedTensor(data, params)
 
 
@@ -127,29 +133,24 @@ def qconv2d(input: QuantizedTensor, weights: QuantizedTensor, bias: np.ndarray,
     sx, mx = input.params.scale, input.params.min
     sw, mw = weights.params.scale, weights.params.min
 
-    # The window bound keeps every sum below 2**31, so i32 GEMMs are exact.
-    cols, oh, ow = im2col(input.data.astype(np.int32)[None], kh, kw, stride, padding)
-    wq = weights.data.astype(np.int32).reshape(kh * kw * cin, cout)
-    acc = cols @ wq                      # exact integer dot products
-    sum_x = cols.sum(axis=1, dtype=np.int64)
-
-    out = (sx * sw) * acc \
-        + (sx * mw) * sum_x[:, None] \
+    # One float64 GEMM gives every window sum and, through a column of ones,
+    # each window's input sum; integers below 2**53 keep it exact.
+    cols, oh, ow = im2col(input.data[None], kh, kw, stride, padding)
+    wq = np.ones((kh * kw * cin, cout + 1))
+    wq[:, :cout] = weights.data.reshape(kh * kw * cin, cout)
+    acc = cols.astype(np.float64) @ wq
+    out = (sx * sw) * acc[:, :cout] \
+        + (sx * mw) * acc[:, cout:] \
         + np.asarray(bias, dtype=np.float64)[None, :]
     if mx != 0.0:
         # Padded kernel taps must contribute exactly zero, not the range
-        # offset, so border positions need in-bounds counts.
-        _, pt, pb = _out_and_pad(h, kh, stride, padding)
-        _, pl, pr = _out_and_pad(w, kw, stride, padding)
-        if pt or pb or pl or pr:
-            mask, _, _ = im2col(np.ones((1, h, w, 1), dtype=np.int32), kh, kw, stride, padding)
-            w_spatial = weights.data.astype(np.int64).sum(axis=2).reshape(kh * kw, cout)
-            sum_w = mask.astype(np.int64) @ w_spatial
-            n_valid = mask.sum(axis=1, dtype=np.int64) * cin
-            out += (mx * sw) * sum_w + (mx * mw) * n_valid[:, None]
-        else:
-            w_sum = weights.data.astype(np.int64).reshape(-1, cout).sum(axis=0)
-            out += (mx * sw) * w_sum + (mx * mw) * (kh * kw * cin)
+        # offset, so each position needs its in-bounds weight sums and
+        # term count (the last column), again one exact float64 GEMM.
+        mask, _, _ = im2col(np.ones((1, h, w, 1)), kh, kw, stride, padding)
+        w_spatial = np.full((kh * kw, cout + 1), float(cin))
+        w_spatial[:, :cout] = weights.data.sum(axis=2, dtype=np.int64).reshape(kh * kw, cout)
+        sums = mask @ w_spatial
+        out += (mx * sw) * sums[:, :cout] + (mx * mw) * sums[:, cout:]
     out = activate(out, activation)
     return quantize_with(out.reshape(oh, ow, cout), out_params)
 

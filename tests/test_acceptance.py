@@ -199,6 +199,7 @@ def test_05_gradient_check():
     _report(5, f"{ok}/{n_samples} coordinates match finite differences in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_06_desk_scale_training(trained_toy):
     budget = 900.0 * max(1.0, 4.0 / (os.cpu_count() or 1))
     assert trained_toy["train_seconds"] <= budget, \
@@ -219,6 +220,7 @@ def test_06_desk_scale_training(trained_toy):
                f"held-out recall {recall:.3f}, precision {precision:.3f}")
 
 
+@pytest.mark.slow
 def test_07_quantized_vs_float_detection_parity(trained_toy, rng):
     model = trained_toy["model"]
     calib_images = [img for img, _ in trained_toy["train_set"][:64]]

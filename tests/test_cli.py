@@ -329,3 +329,22 @@ def test_error_exit_code_contract():
     assert UsageError("x").exit_code == 1
     assert DataError("x").exit_code == 2
     assert NumericError("x").exit_code == 3
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["infer", "--model", "missing.lcdet", "frame.ppm"], 1),
+    (["infer", "--model", "model.lcdet", "missing.ppm"], 1),
+    (["train", "--config", "missing.json", "--synthetic", 2, "--quiet"], 1),
+    (["analyze", "--profile", "toy", "--scenario", "bad.json"], 2),
+    (["eval", "--detections", "missing.jsonl", "--ground-truth", "gt.json"], 1),
+])
+def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    M.save_file(M.init_model(M.build_lcdet(M.profile_config("toy"))), "model.lcdet")
+    write_ppm("frame.ppm", np.zeros((16, 16, 3), dtype=np.float32))
+    (tmp_path / "bad.json").write_text('{"compute_rate": 1e12,')
+    (tmp_path / "gt.json").write_text("{}")
+    assert run(*argv, "--out", "o") == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()

@@ -231,6 +231,11 @@ def _edit(*path, value=_DROP):
     (_edit("calibration", "input", value=[0]), "model header calibration: field 'input'"),
     (_edit("calibration", "layers"), "model header calibration: missing field 'layers'"),
     (_edit("calibration", "layers", 3, value=[0, "1"]), "model header calibration: layers[3]"),
+    (lambda h: h["layers"][0].update(kernel=[5, 5], out_channels=7),
+     "model layer 0 (conv): records hold weights (3, 3, 3, 6) and bias (6,), "
+     "the header says (5, 5, 3, 7) and (7,)"),
+    (_edit("layers", 2, "kernel", value=[1, 1]),
+     "model layer 2 (conv): records hold weights (3, 3, 6, 8)"),
 ])
 def test_malformed_header_is_a_data_error(tmp_path, capsys, mutate, message):
     from lcdet.cli import main
@@ -245,6 +250,15 @@ def test_malformed_header_is_a_data_error(tmp_path, capsys, mutate, message):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_load_rejects_bias_record_of_wrong_length():
+    model = _small_model()
+    model.weights[2].b = np.zeros(5, dtype=np.float32)
+    with pytest.raises(DataError, match=re.escape(
+            "model layer 2 (conv): records hold weights (3, 3, 6, 8) and bias (5,), "
+            "the header says (3, 3, 6, 8) and (8,)")):
+        M.load(M.save(model))
 
 
 def test_quantized_forward_close_to_float(rng):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lcdet.errors import ConfigError, UsageError
 from lcdet.model import init_model
-from lcdet.quant import (QuantParams, QuantizedTensor, calibrate, dequantize,
-                         qconv2d, qmaxpool2d, quantize, quantize_with)
+from lcdet.quant import (MAX_WINDOW_TERMS, QuantParams, QuantizedTensor, calibrate,
+                         dequantize, qconv2d, qmaxpool2d, quantize, quantize_with)
 from lcdet.tensor import activate, conv2d
 
 from conftest import tiny_head_spec, tiny_net_spec
@@ -135,6 +138,141 @@ def test_qconv_overflow_bound_enforced():
     w = QuantizedTensor(np.zeros((3, 3, cin, 1), dtype=np.uint8), QuantParams(0, 1))
     with pytest.raises(ConfigError):
         qconv2d(x, w, np.zeros(1, dtype=np.float32), out_params=QuantParams(0, 1))
+
+
+def _half_away_bytes(v):
+    """Round half away from zero, then saturate to bytes."""
+    return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5), 0, 255).astype(np.uint8)
+
+
+def _int64_qconv(x, w, bias, stride, padding, activation):
+    """Reference 8-bit conv before requantization: int64 window sums, one
+    kernel tap at a time, with zero padding cancelled by in-bounds weight
+    sums and term counts; the float64 epilogue keeps qconv2d's operation
+    order, so the result must match it bit for bit."""
+    kh, kw, cin, cout = w.data.shape
+    h, wd, _ = x.data.shape
+    if padding == "same":
+        oh, ow = -(-h // stride), -(-wd // stride)
+        pt = max(0, (oh - 1) * stride + kh - h) // 2
+        pl = max(0, (ow - 1) * stride + kw - wd) // 2
+    else:
+        oh, ow, pt, pl = (h - kh) // stride + 1, (wd - kw) // stride + 1, 0, 0
+    xp = np.zeros((pt + h + kh + oh * stride, pl + wd + kw + ow * stride, cin), np.int64)
+    xp[pt:pt + h, pl:pl + wd] = x.data
+    inside = np.zeros(xp.shape[:2], np.int64)
+    inside[pt:pt + h, pl:pl + wd] = 1
+    acc = np.zeros((oh, ow, cout), np.int64)
+    sum_x = np.zeros((oh, ow), np.int64)
+    sum_w = np.zeros((oh, ow, cout), np.int64)
+    n_valid = np.zeros((oh, ow), np.int64)
+    for dy in range(kh):
+        for dx in range(kw):
+            win = xp[dy:dy + oh * stride:stride, dx:dx + ow * stride:stride]
+            m = inside[dy:dy + oh * stride:stride, dx:dx + ow * stride:stride]
+            tap = w.data[dy, dx].astype(np.int64)
+            acc += win @ tap
+            sum_x += win.sum(axis=2)
+            sum_w += m[..., None] * tap.sum(axis=0)
+            n_valid += m * cin
+    sx, mx = x.params.scale, x.params.min
+    sw, mw = w.params.scale, w.params.min
+    out = (sx * sw) * acc + (sx * mw) * sum_x[..., None] + np.asarray(bias, np.float64)
+    if mx != 0.0:
+        out += (mx * sw) * sum_w + (mx * mw) * n_valid[..., None]
+    return activate(out, activation)
+
+
+def _assert_qconv_exact(x, w, bias, stride, padding, activation):
+    """qconv2d's bytes equal the int64 reference's, requantized onto the
+    output's own range and onto a narrow range around one output, where a
+    window sum off by one would move that output by two bytes."""
+    ref = _int64_qconv(x, w, bias, stride, padding, activation)
+    lo, hi = float(ref.min()), float(ref.max())
+    centre = float(ref.flat[ref.size // 2])
+    narrow = 255.0 * x.params.scale * w.params.scale / 4
+    for out_params in (QuantParams(lo, hi if hi > lo else lo + 1.0),
+                       QuantParams(centre - narrow, centre + narrow)):
+        want = _half_away_bytes((ref - out_params.min)
+                                * (255.0 / (out_params.max - out_params.min)))
+        got = qconv2d(x, w, bias, stride, padding, out_params, activation)
+        np.testing.assert_array_equal(got.data, want)
+
+
+def test_qconv_exact_at_the_window_bound():
+    # every term 255 * 255: each window sum is 2**15 * 65025, just under 2**31
+    cin = MAX_WINDOW_TERMS
+    x = QuantizedTensor(np.full((2, 3, cin), 255, np.uint8), QuantParams(-0.25, 0.75))
+    w = QuantizedTensor(np.full((1, 1, cin, 2), 255, np.uint8), QuantParams(-1.0, 1.0))
+    _assert_qconv_exact(x, w, np.array([0.5, -0.5], np.float32), 1, "same", "identity")
+
+
+def test_qconv_exact_3x3_near_the_bound_with_border_correction(rng):
+    cin = MAX_WINDOW_TERMS // 9  # K = 32760
+    x = QuantizedTensor(rng.integers(0, 256, (3, 4, cin), dtype=np.uint8),
+                        QuantParams(0.1, 2.3))  # min != 0: padded taps need cancelling
+    w = QuantizedTensor(rng.integers(0, 256, (3, 3, cin, 3), dtype=np.uint8),
+                        QuantParams(-0.4, 0.7))
+    _assert_qconv_exact(x, w, rng.normal(size=3).astype(np.float32), 1, "same", "relu")
+
+
+_RANGE_MIN = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+_RANGE_SPAN = st.floats(1e-3, 8.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_qconv_exact_on_drawn_shapes(data):
+    stride = data.draw(st.integers(1, 3))
+    padding = data.draw(st.sampled_from(["same", "valid"]))
+    kh, kw = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    least = (kh, kw) if padding == "valid" else (1, 1)
+    h, wd = data.draw(st.integers(least[0], 9)), data.draw(st.integers(least[1], 9))
+    cin, cout = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+    x_lo, w_lo = data.draw(_RANGE_MIN), data.draw(_RANGE_MIN)
+    x_span, w_span = data.draw(_RANGE_SPAN), data.draw(_RANGE_SPAN)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = QuantizedTensor(rng.integers(0, 256, (h, wd, cin), dtype=np.uint8),
+                        QuantParams(x_lo, x_lo + x_span))
+    w = QuantizedTensor(rng.integers(0, 256, (kh, kw, cin, cout), dtype=np.uint8),
+                        QuantParams(w_lo, w_lo + w_span))
+    bias = rng.normal(size=cout).astype(np.float32)
+    activation = data.draw(st.sampled_from(["relu", "leaky_relu", "identity"]))
+    _assert_qconv_exact(x, w, bias, stride, padding, activation)
+
+
+def test_quantize_with_rounds_ties_away_and_saturates():
+    # on the range (0, 255) a value is its own unscaled byte position
+    ties = [k + 0.5 for k in range(-3, 258)]
+    edges = [-0.0, 0.0, -0.49999999999999994, 0.49999999999999994, -7.0, -1e300,
+             254.49999999999997, 255.49999999999997, 256.0, 1e300]
+    v = np.array(ties + edges)
+    got = quantize_with(v, QuantParams(0.0, 255.0)).data
+    np.testing.assert_array_equal(got, _half_away_bytes(v))
+    assert list(got[:5]) == [0, 0, 0, 1, 2]          # -2.5 .. 1.5
+    assert list(got[256:261]) == [254, 255, 255, 255, 255]  # 253.5 .. 257.5
+
+
+_FLOATS = st.floats(-1e6, 1e6, width=32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(st.sampled_from([np.float32, np.float64]), st.integers(1, 48),
+                  elements=_FLOATS),
+       st.floats(-1e3, 1e3), st.floats(1e-6, 1e4))
+def test_quantize_with_equals_half_away_rounding(w, lo, span):
+    p = QuantParams(lo, lo + span)
+    v = (w.astype(np.float64) - p.min) * (255.0 / (p.max - p.min))
+    np.testing.assert_array_equal(quantize_with(w, p).data, _half_away_bytes(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float32, st.integers(1, 48), elements=st.floats(-2.0**100, 2.0**100, width=32)))
+def test_round_trip_within_half_step_on_drawn_floats(w):
+    q = quantize(w)
+    bound = (q.params.max - q.params.min) / 510.0
+    slack = 4 * np.finfo(np.float64).eps * max(abs(q.params.min), abs(q.params.max))
+    assert np.abs(dequantize(q) - w).max() <= bound + slack
 
 
 def test_qmaxpool_matches_float_pool(rng):
