@@ -14,7 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
+
+import numpy as np
 
 from . import data, detector, evaluation, perfsim, plot, quant, train
 from . import model as model_mod
@@ -61,7 +64,11 @@ def _write(path: str, text: str):
 
 
 def _write_resolved(out_dir: str, command: str, options: dict):
-    resolved = {"command": command, **options}
+    """``resolved_config.json``: the options, plus where the command ran."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    env = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+           "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+    resolved = {"command": command, **options, "environment": env}
     _write(os.path.join(out_dir, "resolved_config.json"),
            json.dumps(resolved, indent=1, sort_keys=True) + "\n")
 
@@ -70,6 +77,14 @@ def _load_network_config(args) -> dict:
     if getattr(args, "config", None):
         return model_mod.parse_config(_read_input(args.config, "config"))
     return model_mod.profile_config(args.profile)
+
+
+def _parse_list(text: str, flag: str, kind=float) -> list:
+    """A comma list of numbers (empty entries skipped); anything else is a usage error."""
+    try:
+        return [kind(v) for v in text.split(",") if v]
+    except ValueError:
+        raise UsageError(f"{flag} expects a comma list of numbers, got {text!r}") from None
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -94,10 +109,10 @@ def cmd_train(args) -> int:
         dataset = _read_input(args.dataset, "dataset", data.load_dataset)
     else:
         raise UsageError("train needs --synthetic N or --dataset DIR")
+    decay_epochs = tuple(_parse_list(args.lr_decay_epochs, "--lr-decay-epochs", int))
     out = _prepare_out(args.out, args.force)
     loss_cfg = train.LossConfig(lambda_coord=args.lambda_coord,
                                 lambda_noobj=args.lambda_noobj)
-    decay_epochs = tuple(int(v) for v in args.lr_decay_epochs.split(",") if v)
     cfg = train.TrainConfig(lr=args.lr, batch_size=args.batch_size,
                             epochs=args.epochs, seed=args.seed, loss=loss_cfg,
                             lr_decay_epochs=decay_epochs,
@@ -198,7 +213,7 @@ def cmd_eval(args) -> int:
     if dets and gts and not dets.keys() & gts.keys():
         raise DataError(f"detections and ground truth share no image id (detections: "
                         f"{next(iter(dets))!r}, ground truth: {next(iter(gts))!r})")
-    criteria = [float(v) for v in args.iou_sweep.split(",")] if args.iou_sweep else []
+    criteria = _parse_list(args.iou_sweep, "--iou-sweep") if args.iou_sweep else []
     out = _prepare_out(args.out, args.force)
     # one matching pass per distinct criterion feeds its curve file, the plots
     # and the sweep rows
@@ -260,6 +275,14 @@ def cmd_analyze(args) -> int:
         if not isinstance(loaded, dict):
             raise DataError(f"scenario {args.scenario!r}: root must be a JSON object")
         scenario_cfg.update(loaded)
+        bws = scenario_cfg["bandwidths_gbps"]
+        if not (bws is None or isinstance(bws, list)) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float))
+                for v in [scenario_cfg["compute_rate"], *(bws or [])]):
+            raise DataError(f"scenario {args.scenario!r}: compute_rate must be a number and "
+                            "bandwidths_gbps a list of numbers")
+    if args.bw_sweep:
+        scenario_cfg["bandwidths_gbps"] = _parse_list(args.bw_sweep, "--bw-sweep")
     out = _prepare_out(args.out, args.force)
     report = perfsim.analyze(spec, dims)
     _write(os.path.join(out, "layers.csv"), perfsim.report_csv(report))
@@ -269,9 +292,6 @@ def cmd_analyze(args) -> int:
     for kind in ("rpn", "yldet", "convdet"):
         print(f"  {kind:8s} {heads[kind]:>12,d}")
     print(f"  yldet/convdet ratio: {heads['yldet_over_convdet']:.1f}x")
-
-    if args.bw_sweep:
-        scenario_cfg["bandwidths_gbps"] = [float(v) for v in args.bw_sweep.split(",")]
 
     named = {}
     sweep_rows = []
@@ -288,10 +308,8 @@ def cmd_analyze(args) -> int:
                                "frames per second", "Frame rate vs DDR bandwidth"))
         # layer-wise bandwidth table at the highest swept bandwidth
         top = max(scenario_cfg["bandwidths_gbps"])
-        sc = perfsim.BwScenario(top * 1e9, scenario_cfg["compute_rate"], report,
-                                mode=args.mode)
         _write(os.path.join(out, "layer_bandwidth.csv"),
-               perfsim.bandwidth_csv(perfsim.frame_rate(sc)))
+               perfsim.bandwidth_csv(named[f"{top}gbps_{args.mode}"]))
     _write(os.path.join(out, "summary.json"), perfsim.report_summary(report, named))
     heads_path = os.path.join(out, "head_params.json")
     _write(heads_path, json.dumps(heads, indent=1, sort_keys=True) + "\n")

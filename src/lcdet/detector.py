@@ -32,7 +32,9 @@ class Detection:
 
 
 def iou(a, b) -> float:
-    """Intersection over union of two (cx, cy, w, h) boxes; 0 when union is 0."""
+    """Intersection over union of two (cx, cy, w, h) boxes; 0 when union is 0,
+    at most 1 (rounded corners can make a box overlap itself by an ulp more
+    than its area)."""
     ax1, ay1 = a[0] - a[2] / 2.0, a[1] - a[3] / 2.0
     ax2, ay2 = a[0] + a[2] / 2.0, a[1] + a[3] / 2.0
     bx1, by1 = b[0] - b[2] / 2.0, b[1] - b[3] / 2.0
@@ -45,7 +47,25 @@ def iou(a, b) -> float:
     union = a[2] * a[3] + b[2] * b[3] - inter
     if union <= 0.0:
         return 0.0
-    return float(inter / union)
+    return float(min(inter / union, 1.0))
+
+
+def box_iou(a, b) -> np.ndarray:
+    """``iou`` of (..., 4) boxes broadcast against each other, in float64.
+
+    Bitwise equal to ``iou`` on finite boxes: the same corners, overlaps,
+    union and division in the same order, and 0 exactly where ``iou``
+    returns 0 early (a NaN stays NaN).
+    """
+    ax, ay, aw, ah = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bx, by, bw, bh = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    iw = np.minimum(ax + aw / 2.0, bx + bw / 2.0) - np.maximum(ax - aw / 2.0, bx - bw / 2.0)
+    ih = np.minimum(ay + ah / 2.0, by + bh / 2.0) - np.maximum(ay - ah / 2.0, by - bh / 2.0)
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    out = np.divide(inter, union, out=np.zeros_like(inter),
+                    where=~((iw <= 0.0) | (ih <= 0.0) | (union <= 0.0)))
+    return np.minimum(out, 1.0, out=out)
 
 
 def head_views(grid: np.ndarray, num_classes: int, boxes_per_cell: int):
@@ -62,10 +82,18 @@ def head_views(grid: np.ndarray, num_classes: int, boxes_per_cell: int):
     return grid[..., :c], grid[..., c:].reshape(grid.shape[:-1] + (k, 5))
 
 
+def clamp_boxes(raw: np.ndarray) -> np.ndarray:
+    """Raw (..., 4) x, y, sqrt-w, sqrt-h outputs clamped to [0, 1], with w and h
+    squared, in ``raw``'s dtype: cell-relative centers and image-fraction extents."""
+    out = np.clip(raw, 0.0, 1.0)
+    out[..., 2:] **= 2
+    return out
+
+
 def decode(grid: np.ndarray, image_dims: tuple[int, int], num_classes: int,
            boxes_per_cell: int, score_threshold: float = DEFAULT_EVAL_SCORE_THRESHOLD
            ) -> list[Detection]:
-    """Turn an activated grid into image-space detections.
+    """Turn an activated grid into image-space detections, box-major, cells row-major.
 
     Args:
         grid: (gh, gw, C + 5K) activated output.
@@ -76,64 +104,47 @@ def decode(grid: np.ndarray, image_dims: tuple[int, int], num_classes: int,
     class_probs, boxes = head_views(grid, num_classes, boxes_per_cell)
     gh, gw, _ = grid.shape
     width, height = image_dims
-    stride_x = width / gw
-    stride_y = height / gh
 
     class_ids = class_probs.argmax(axis=2)
     best_prob = np.take_along_axis(class_probs, class_ids[:, :, None], axis=2)[:, :, 0]
+    score = boxes[..., 0] * best_prob[..., None]
+    b, i, j = np.nonzero((score >= score_threshold).transpose(2, 0, 1))
+    xywh = clamp_boxes(boxes[i, j, b, 1:])
+    fields = ((j + xywh[:, 0]) * (width / gw), (i + xywh[:, 1]) * (height / gh),
+              xywh[:, 2] * width, xywh[:, 3] * height, class_ids[i, j], best_prob[i, j],
+              boxes[i, j, b, 0], score[i, j, b])
+    return [Detection((cx, cy, w, h), c, p, conf, s)
+            for cx, cy, w, h, c, p, conf, s in zip(*(f.tolist() for f in fields))]
 
-    dets: list[Detection] = []
-    for b in range(boxes_per_cell):
-        conf = boxes[:, :, b, 0]
-        xy = np.clip(boxes[:, :, b, 1:3], 0.0, 1.0)
-        wh = np.clip(boxes[:, :, b, 3:5], 0.0, 1.0) ** 2
-        score = conf * best_prob
-        keep = np.argwhere(score >= score_threshold)
-        for i, j in keep:
-            cx = (j + xy[i, j, 0]) * stride_x
-            cy = (i + xy[i, j, 1]) * stride_y
-            w = wh[i, j, 0] * width
-            h = wh[i, j, 1] * height
-            dets.append(Detection(
-                box=(float(cx), float(cy), float(w), float(h)),
-                class_id=int(class_ids[i, j]),
-                class_prob=float(best_prob[i, j]),
-                confidence=float(conf[i, j]),
-                score=float(score[i, j])))
-    return dets
+
+NMS_BLOCK = 64  # IoU rows built at a time: memory stays O(NMS_BLOCK * n)
 
 
 def nms(dets: list[Detection], iou_threshold: float = DEFAULT_NMS_IOU) -> list[Detection]:
-    """Greedy per-class suppression; ties between equal scores keep input order."""
+    """Greedy per-class suppression; ties between equal scores keep input order.
+    A box survives unless a higher survivor of its class has IoU >= the threshold."""
     if not 0.0 <= iou_threshold <= 1.0:
         raise ConfigError(f"NMS IoU threshold must be in [0, 1], got {iou_threshold}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept: list[int] = []
-    for i in order:
-        d = dets[i]
-        ok = True
-        for j in kept:
-            other = dets[j]
-            if other.class_id == d.class_id and iou(other.box, d.box) >= iou_threshold:
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-    return [dets[i] for i in kept]
+    order = np.argsort([-d.score for d in dets], kind="stable")
+    boxes = np.array([dets[i].box for i in order], dtype=np.float64).reshape(-1, 4)
+    classes = np.array([dets[i].class_id for i in order])
+    alive = np.ones(len(dets), dtype=bool)
+    for start in range(0, len(dets), NMS_BLOCK):
+        rows = slice(start, start + NMS_BLOCK)
+        # spare[r, c]: box start + r does not suppress box start + c
+        spare = ~(box_iou(boxes[rows, None], boxes[None, start:]) >= iou_threshold)
+        spare |= classes[rows, None] != classes[None, start:]
+        for r in range(len(spare)):
+            if alive[start + r]:
+                alive[start + r + 1:] &= spare[r, r + 1:]
+    return [dets[i] for i in order[alive]]
 
 
 # ---------------------------------------------------------------------------
 # emission formats
 
 def detection_to_json(image_id: str, det: Detection) -> str:
-    return json.dumps({
-        "image_id": image_id,
-        "class_id": det.class_id,
-        "score": det.score,
-        "confidence": det.confidence,
-        "class_prob": det.class_prob,
-        "box": [det.box[0], det.box[1], det.box[2], det.box[3]],
-    }, sort_keys=True)
+    return json.dumps({"image_id": image_id, **vars(det)}, sort_keys=True)
 
 
 def write_jsonl(path, dets_by_image: dict[str, list[Detection]]):

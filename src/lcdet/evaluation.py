@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detector import Detection, iou
+import numpy as np
+
+from .detector import Detection, box_iou
 from .errors import ConfigError
 
 
@@ -48,15 +50,14 @@ def match(dets: list[Detection], gts, iou_criterion: float) -> list[bool]:
     meets the criterion. Returns labels aligned with the input order.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    ious = box_iou(np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 1, 4),
+                   np.array([gt.box for gt in gts], dtype=np.float64).reshape(1, -1, 4)).tolist()
     taken = [False] * len(gts)
     labels = [False] * len(dets)
     for i in order:
         best, best_iou = -1, 0.0
-        for g, gt in enumerate(gts):
-            if taken[g]:
-                continue
-            v = iou(dets[i].box, gt.box)
-            if v > best_iou:
+        for g, v in enumerate(ious[i]):
+            if not taken[g] and v > best_iou:
                 best, best_iou = g, v
         if best >= 0 and best_iou >= iou_criterion:
             taken[best] = True

@@ -274,16 +274,15 @@ def init_model(spec: NetworkSpec, seed: int = 0) -> Model:
             continue
         kh, kw = layer.kernel
         fan_in = kh * kw * in_ch
+        b = np.zeros(layer.out_channels, dtype=np.float32)
         if layer.kind == "detection_head":
             w = rng.normal(0.0, 0.01, size=(kh, kw, in_ch, layer.out_channels))
-            b = np.zeros(layer.out_channels, dtype=np.float32)
             # centered offsets and a quarter-image size prior; identical
             # box priors let responsibility settle on one predictor early
             _, boxes = head_views(b, spec.num_classes, spec.boxes_per_cell)
             boxes[:, 1:] = 0.5
         else:
             w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(kh, kw, in_ch, layer.out_channels))
-            b = np.zeros(layer.out_channels, dtype=np.float32)
         weights.append(LayerWeights(w.astype(np.float32), b))
         in_ch = layer.out_channels
     return Model(spec=spec, weights=weights)
@@ -346,10 +345,8 @@ def head_activation(raw: np.ndarray, num_classes: int, boxes_per_cell: int) -> n
     out = np.array(raw, copy=True)
     raw_classes, raw_boxes = head_views(raw, num_classes, boxes_per_cell)
     classes, boxes = head_views(out, num_classes, boxes_per_cell)
-    if num_classes == 1:
-        classes[...] = sigmoid(raw_classes)
-    else:
-        classes[...] = softmax(raw_classes, axis=-1)
+    classes[...] = (sigmoid(raw_classes) if num_classes == 1
+                    else softmax(raw_classes, axis=-1))
     boxes[..., 0] = sigmoid(raw_boxes[..., 0])
     return out
 
@@ -437,38 +434,29 @@ def _read_record(r: _Reader):
     if tag == DTYPE_U8:
         lo, hi = r.unpack("<2f")
         params = QuantParams(lo, hi)
-    count = int(np.prod(dims)) if dims else 1
-    itemsize = 4 if tag == DTYPE_F32 else 1
-    payload = r.take(count * itemsize)
+    dtype = np.dtype("<f4" if tag == DTYPE_F32 else np.uint8)
+    payload = r.take(int(np.prod(dims)) * dtype.itemsize)
     (crc,) = r.unpack("<I")
     if zlib.crc32(payload) != crc:
         raise ChecksumError("payload CRC32 mismatch")
-    if tag == DTYPE_F32:
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-        return arr, None
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
-    return arr, params
+    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy(), params
 
 
 def save(model: Model) -> bytes:
     """Serialize a model to bytes; ``load(save(m))`` is bit-identical."""
     header = {**vars(model.spec), "layers": [vars(layer) for layer in model.spec.layers]}
-    if model.calibration is not None:
-        header["calibration"] = {
-            "input": [model.calibration.input_range.min, model.calibration.input_range.max],
-            "layers": [[p.min, p.max] for p in model.calibration.layers],
-        }
-    else:
-        header["calibration"] = None
+    cal = model.calibration
+    header["calibration"] = None if cal is None else {
+        "input": [cal.input_range.min, cal.input_range.max],
+        "layers": [[p.min, p.max] for p in cal.layers],
+    }
     blob = json.dumps(header, sort_keys=True).encode()
     out = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(blob)), blob]
     for lw in model.weights:
         if lw.w is None:
             continue
-        if isinstance(lw.w, QuantizedTensor):
-            out.append(_pack_record(lw.w.data, lw.w.params))
-        else:
-            out.append(_pack_record(lw.w, None))
+        out.append(_pack_record(lw.w.data, lw.w.params) if lw.quantized
+                   else _pack_record(lw.w, None))
         out.append(_pack_record(lw.b, None))
     return b"".join(out)
 
@@ -525,10 +513,6 @@ def quantize_model(model: Model, calibration: CalibrationRecord) -> Model:
     """Quantize every conv weight tensor per-tensor; biases stay float32."""
     if model.quantized:
         raise ConfigError("model is already quantized")
-    weights = []
-    for lw in model.weights:
-        if lw.w is None:
-            weights.append(LayerWeights())
-        else:
-            weights.append(LayerWeights(quantize(lw.w), lw.b.copy()))
+    weights = [LayerWeights() if lw.w is None else LayerWeights(quantize(lw.w), lw.b.copy())
+               for lw in model.weights]
     return Model(spec=model.spec, weights=weights, calibration=calibration)

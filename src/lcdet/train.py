@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import GroundTruthBox
-from .detector import head_views, iou
+from .detector import box_iou, clamp_boxes, head_views
 from .errors import ConfigError, NumericError, UsageError
 from .model import (Model, check_resolution, head_activation, layer_activation,
                     save_file)
@@ -112,35 +112,6 @@ def assign_cells(gts: list[GroundTruthBox], grid_dims: tuple[int, int],
     return GridTarget(mask, boxes, class_ids, discarded=len(gts) - kept)
 
 
-def _decode_fraction(raw4, i: int, j: int, gh: int, gw: int):
-    """Decode one raw box to image-fraction (cx, cy, w, h); IoU is scale-free."""
-    x = min(max(float(raw4[0]), 0.0), 1.0)
-    y = min(max(float(raw4[1]), 0.0), 1.0)
-    w = min(max(float(raw4[2]), 0.0), 1.0) ** 2
-    h = min(max(float(raw4[3]), 0.0), 1.0) ** 2
-    return ((j + x) / gw, (i + y) / gh, w, h)
-
-
-def select_responsible(box_preds: np.ndarray, target_box, i: int, j: int,
-                       gh: int, gw: int) -> tuple[int, float]:
-    """Pick the predictor with the highest IoU against the cell's ground truth.
-
-    All-zero IoUs fall back to the closest box in (x, y, sqrt w, sqrt h)
-    space; ties take the lowest index. Returns (index, its IoU).
-    """
-    tx, ty, tw, th = (float(v) for v in target_box)
-    gt_frac = ((j + tx) / gw, (i + ty) / gh, tw, th)
-    ious = np.array([iou(_decode_fraction(box_preds[b], i, j, gh, gw), gt_frac)
-                     for b in range(len(box_preds))])
-    if ious.max() > 0.0:
-        idx = int(ious.argmax())
-        return idx, float(ious[idx])
-    ref = np.array([tx, ty, np.sqrt(tw), np.sqrt(th)])
-    d2 = ((box_preds - ref) ** 2).sum(axis=1)
-    idx = int(d2.argmin())
-    return idx, 0.0
-
-
 def _head_views(grid: np.ndarray, num_classes: int):
     """``head_views`` with K read from the grid's channel count."""
     return head_views(grid, num_classes, (grid.shape[-1] - num_classes) // 5)
@@ -149,17 +120,32 @@ def _head_views(grid: np.ndarray, num_classes: int):
 def resolve_targets(grid_act: np.ndarray, target: GridTarget, num_classes: int
                     ) -> ResolvedTargets:
     """Responsible box and its IoU target in every object cell of a
-    (..., gh, gw, C + 5K) activated grid."""
+    (..., gh, gw, C + 5K) activated grid.
+
+    The responsible box has the highest IoU against the cell's ground truth,
+    in image fractions; when every IoU is 0 it is the box closest to the
+    ground truth in (x, y, sqrt w, sqrt h) space, with IoU target 0. Ties take
+    the lowest index.
+    """
     gh, gw = grid_act.shape[-3:-1]
     _, boxes = _head_views(grid_act, num_classes)
-    responsible = np.full(target.object_mask.shape, -1, dtype=np.int32)
+    obj = target.object_mask
+    cells = np.nonzero(obj)
+    raw = boxes[obj][..., 1:]                    # (n, K, 4)
+    gt = target.boxes[obj].astype(np.float64)    # (n, 4)
+    # the K decoded boxes and the ground truth, in image fractions
+    frac = np.concatenate([clamp_boxes(raw.astype(np.float64)), gt[:, None]], axis=1)
+    frac[..., 0] = (cells[-1][:, None] + frac[..., 0]) / gw
+    frac[..., 1] = (cells[-2][:, None] + frac[..., 1]) / gh
+    ious = box_iou(frac[:, :-1], frac[:, -1:])
+    best = ious.max(axis=-1)
+    ref = np.concatenate([gt[:, :2], np.sqrt(gt[:, 2:])], axis=-1)
+    closest = ((raw - ref[:, None]) ** 2).sum(axis=-1).argmin(axis=-1)
+    idx = np.where(best > 0.0, ious.argmax(axis=-1), closest)
+    responsible = np.full(obj.shape, -1, dtype=np.int32)
+    responsible[obj] = idx
     conf_target = np.zeros(boxes.shape[:-1], dtype=np.float64)
-    for cell in map(tuple, np.argwhere(target.object_mask)):
-        i, j = cell[-2:]
-        idx, best_iou = select_responsible(boxes[cell][:, 1:], target.boxes[cell],
-                                           i, j, gh, gw)
-        responsible[cell] = idx
-        conf_target[cell + (idx,)] = best_iou
+    conf_target[cells + (idx,)] = np.where(best > 0.0, best, 0.0)
     return ResolvedTargets(responsible, conf_target)
 
 

@@ -285,7 +285,11 @@ def test_every_subcommand_writes_resolved_config(tmp_path):
     gt.write_text("{}")
     run("eval", "--detections", dets, "--ground-truth", gt,
         "--out", tmp_path / "e")
-    assert (tmp_path / "e" / "resolved_config.json").exists()
+    env_keys = {"nproc", "python", "numpy", "blas", "blas_version"}
+    for sub in (out, *(tmp_path / d for d in "qiae")):
+        env = json.loads((sub / "resolved_config.json").read_text())["environment"]
+        assert set(env) == env_keys
+        assert env["nproc"] >= 1 and env["numpy"] == np.__version__
 
 
 def test_analyze_model_input_required(tmp_path):
@@ -337,13 +341,24 @@ def test_error_exit_code_contract():
     (["train", "--config", "missing.json", "--synthetic", 2, "--quiet"], 1),
     (["analyze", "--profile", "toy", "--scenario", "bad.json"], 2),
     (["eval", "--detections", "missing.jsonl", "--ground-truth", "gt.json"], 1),
+    (["analyze", "--profile", "toy", "--bw-sweep", "1,x"], 1),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt.json",
+      "--iou-sweep", "0.4,x"], 1),
+    (["train", "--synthetic", 2, "--lr-decay-epochs", "1,x", "--quiet"], 1),
+    (["analyze", "--profile", "toy", "--scenario", "bw_string.json"], 2),
+    (["analyze", "--profile", "toy", "--scenario", "rate_string.json"], 2),
+    (["analyze", "--profile", "toy", "--scenario", "bw_strings.json"], 2),
 ])
 def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     M.save_file(M.init_model(M.build_lcdet(M.profile_config("toy"))), "model.lcdet")
     write_ppm("frame.ppm", np.zeros((16, 16, 3), dtype=np.float32))
     (tmp_path / "bad.json").write_text('{"compute_rate": 1e12,')
+    (tmp_path / "bw_string.json").write_text('{"bandwidths_gbps": "ab"}')
+    (tmp_path / "rate_string.json").write_text('{"compute_rate": "fast", "bandwidths_gbps": [1]}')
+    (tmp_path / "bw_strings.json").write_text('{"bandwidths_gbps": [1, "2"]}')
     (tmp_path / "gt.json").write_text("{}")
+    (tmp_path / "dets.jsonl").write_text("")
     assert run(*argv, "--out", "o") == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ") and err.count("\n") == 1

@@ -1,7 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcdet.detector import (Detection, decode, fddb_text, iou, nms,
+from lcdet import detector
+from lcdet.detector import (Detection, box_iou, decode, fddb_text, iou, nms,
                             read_jsonl, write_jsonl)
 from lcdet.errors import ConfigError
 
@@ -136,6 +142,100 @@ def test_nms_is_per_class():
     a = _det(5, 5, 2, 2, 0.9, class_id=0)
     b = _det(5, 5, 2, 2, 0.8, class_id=1)
     assert nms([a, b], 0.5) == [a, b]
+
+
+# quarter-pixel lattice values make identical boxes, touching edges and zero or
+# negative extents common; free floats cover the rest
+_coord = st.one_of(st.integers(-40, 40).map(lambda v: v / 4),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+_extent = st.one_of(st.integers(-8, 40).map(lambda v: v / 4),
+                    st.floats(-10.0, 1e3, allow_nan=False))
+_box = st.tuples(_coord, _coord, _extent, _extent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_box, min_size=1, max_size=10))
+def test_box_iou_bitwise_equals_iou(boxes):
+    got = box_iou(np.array(boxes)[:, None], np.array(boxes)[None])
+    want = np.array([[iou(a, b) for b in boxes] for a in boxes])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box, _box)
+def test_iou_symmetric_and_in_unit_interval(a, b):
+    v = iou(a, b)
+    assert v == iou(b, a)
+    assert 0.0 <= v <= 1.0
+    assert 0.0 <= iou(a, a) <= 1.0
+
+
+def test_iou_of_a_box_with_itself_is_at_most_one():
+    # rounded corners make this box's self-overlap an ulp larger than its area
+    box = (-53.09171902873855, -89.53080457152596, 23.512716806059753, 19.938423466560863)
+    assert iou(box, box) == 1.0
+    assert box_iou(box, box) == 1.0
+
+
+def _scalar_nms(dets, iou_threshold):
+    """The greedy loop that ``nms`` replaced: one scalar IoU per pair."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    kept = []
+    for i in order:
+        d = dets[i]
+        ok = True
+        for j in kept:
+            other = dets[j]
+            if other.class_id == d.class_id and iou(other.box, d.box) >= iou_threshold:
+                ok = False
+                break
+        if ok:
+            kept.append(i)
+    return [dets[i] for i in kept]
+
+
+_lattice_box = st.tuples(*(st.integers(0, 12).map(lambda v: v / 2),) * 2,
+                         *(st.integers(0, 8).map(lambda v: v / 2),) * 2)
+_dets = st.lists(st.builds(lambda box, cls, score: Detection(box, cls, 1.0, score, score),
+                           _lattice_box, st.integers(0, 2),
+                           st.sampled_from([0.25, 0.5, 0.75, 1.0])), max_size=40)
+_thresholds = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dets, _thresholds)
+def test_nms_matches_scalar_greedy(dets, threshold):
+    want = [id(d) for d in _scalar_nms(dets, threshold)]
+    for block in (3, detector.NMS_BLOCK):  # several blocks, and one
+        with mock.patch.object(detector, "NMS_BLOCK", block):
+            assert [id(d) for d in nms(dets, threshold)] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dets, _thresholds)
+def test_nms_idempotent(dets, threshold):
+    kept = nms(dets, threshold)
+    assert nms(kept, threshold) == kept
+
+
+def test_nms_memory_stays_below_a_quarter_of_the_iou_matrix():
+    rng = np.random.default_rng(7)
+    n = 4096
+    # jittered copies of 40 separated boxes per class: thousands of candidates,
+    # few survivors, so the scalar reference stays quick
+    anchors = np.array([(50 + 100 * (a % 8), 50 + 100 * (a // 8), 40, 30) for a in range(40)])
+    boxes = anchors[rng.integers(0, 40, n)] + rng.uniform(-1.5, 1.5, (n, 4))
+    scores = np.round(rng.random(n), 1)  # many ties
+    dets = [Detection(tuple(b.tolist()), int(c), 1.0, float(s), float(s))
+            for b, c, s in zip(boxes, rng.integers(0, 3, n), scores)]
+    tracemalloc.start()
+    try:
+        kept = nms(dets, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+    assert [id(d) for d in kept] == [id(d) for d in _scalar_nms(dets, 0.5)]
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -48,6 +48,15 @@ def test_match_highest_iou_wins():
     assert labels == [True, True]  # d takes exact, lower det takes near
 
 
+def test_match_iou_tie_goes_to_the_first_ground_truth():
+    # d sits halfway between two ground truths (IoU 1/3 with each) and takes
+    # the first; the exact hit on that one is then left without a partner
+    d = _det(12, 10, 4, 4, 0.9)
+    g0, g1 = _gt(10, 10, 4, 4), _gt(14, 10, 4, 4)
+    assert match([d, _det(10, 10, 4, 4, 0.5)], [g0, g1], 0.3) == [True, False]
+    assert match([d, _det(14, 10, 4, 4, 0.5)], [g0, g1], 0.3) == [True, True]
+
+
 def test_curve_perfect_detector():
     dets = {"a": [_det(10, 10, 4, 4, 0.9)], "b": [_det(5, 5, 2, 2, 0.8)]}
     gts = {"a": [_gt(10, 10, 4, 4)], "b": [_gt(5, 5, 2, 2)]}

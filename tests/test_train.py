@@ -4,6 +4,7 @@ import pytest
 import lcdet.model as M
 import lcdet.train as T
 from lcdet.data import GroundTruthBox, synth_dataset
+from lcdet.detector import head_views
 from lcdet.errors import ConfigError, NumericError
 
 from conftest import (naive_detection_loss, random_grid_target, tiny_head_spec,
@@ -58,9 +59,29 @@ def test_assign_never_two_objects_per_cell(rng):
 # ---------------------------------------------------------------------------
 # responsible box selection
 
+def _resolve_cell(preds, target_box, i, j, gh=7, gw=7):
+    """``resolve_targets`` on a grid whose only object cell is (i, j), its K
+    boxes holding the raw x, y, sqrt-w, sqrt-h ``preds``; returns
+    (responsible index, its IoU target)."""
+    k = len(preds)
+    grid = np.zeros((gh, gw, 1 + 5 * k))
+    _, boxes = head_views(grid, 1, k)
+    boxes[i, j, :, 1:] = preds
+    mask = np.zeros((gh, gw), dtype=bool)
+    mask[i, j] = True
+    tboxes = np.zeros((gh, gw, 4), dtype=np.float32)
+    tboxes[i, j] = target_box
+    res = T.resolve_targets(grid, T.GridTarget(mask, tboxes, np.zeros((gh, gw), np.int32)), 1)
+    idx = int(res.responsible[i, j])
+    assert (res.responsible[~mask] == -1).all()
+    others = res.conf_target.copy()
+    others[i, j, idx] = 0.0
+    assert not others.any()  # only the responsible box has a confidence target
+    return idx, float(res.conf_target[i, j, idx])
+
+
 def test_responsible_single_box():
-    preds = np.array([[0.1, 0.2, 0.3, 0.4]])
-    idx, _ = T.select_responsible(preds, (0.5, 0.5, 0.1, 0.1), 0, 0, 7, 7)
+    idx, _ = _resolve_cell([[0.1, 0.2, 0.3, 0.4]], (0.5, 0.5, 0.1, 0.1), 0, 0)
     assert idx == 0
 
 
@@ -68,7 +89,7 @@ def test_responsible_argmax_iou():
     target = (0.5, 0.5, 0.25, 0.25)  # cell-relative center, fraction extents
     good = [0.5, 0.5, 0.5, 0.5]      # decodes to the target box exactly
     bad = [0.5, 0.5, 0.1, 0.1]
-    idx, best = T.select_responsible(np.array([bad, good]), target, 2, 3, 7, 7)
+    idx, best = _resolve_cell([bad, good], target, 2, 3)
     assert idx == 1
     assert best == pytest.approx(1.0)
 
@@ -77,9 +98,19 @@ def test_responsible_distance_fallback():
     target = (0.5, 0.5, 0.04, 0.04)
     far = [0.9, 0.9, -1.0, -1.0]     # zero-area decode, IoU 0
     near = [0.55, 0.5, -0.1, -0.1]   # zero-area decode, closer in coord space
-    idx, best = T.select_responsible(np.array([far, near]), target, 0, 0, 7, 7)
+    idx, best = _resolve_cell([far, near], target, 0, 0)
     assert idx == 1
     assert best == 0.0
+
+
+def test_responsible_ties_take_the_lowest_index():
+    target = (0.5, 0.5, 0.25, 0.25)
+    good, bad = [0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.1, 0.1]
+    assert _resolve_cell([bad, good, good], target, 4, 1) == (1, 1.0)
+    assert _resolve_cell([good, good], target, 4, 1) == (0, 1.0)
+    far, near = [0.9, 0.9, -1.0, -1.0], [0.55, 0.5, -0.1, -0.1]  # IoU 0: fallback
+    assert _resolve_cell([far, near, near], target, 6, 6) == (1, 0.0)
+    assert _resolve_cell([near, near], target, 6, 6) == (0, 0.0)
 
 
 # ---------------------------------------------------------------------------
