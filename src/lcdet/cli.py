@@ -79,12 +79,16 @@ def _load_network_config(args) -> dict:
     return model_mod.profile_config(args.profile)
 
 
-def _parse_list(text: str, flag: str, kind=float) -> list:
-    """A comma list of numbers (empty entries skipped); anything else is a usage error."""
+def _parse_list(text: str, flag: str, kind=float, ok=None, what="numbers") -> list:
+    """A comma list of numbers (empty entries skipped), each passing ``ok`` if
+    given; anything else is a usage error."""
     try:
-        return [kind(v) for v in text.split(",") if v]
+        values = [kind(v) for v in text.split(",") if v]
     except ValueError:
-        raise UsageError(f"{flag} expects a comma list of numbers, got {text!r}") from None
+        values = None
+    if values is None or (ok is not None and not all(map(ok, values))):
+        raise UsageError(f"{flag} expects a comma list of {what}, got {text!r}")
+    return values
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -213,11 +217,12 @@ def cmd_eval(args) -> int:
     if dets and gts and not dets.keys() & gts.keys():
         raise DataError(f"detections and ground truth share no image id (detections: "
                         f"{next(iter(dets))!r}, ground truth: {next(iter(gts))!r})")
-    criteria = _parse_list(args.iou_sweep, "--iou-sweep") if args.iou_sweep else []
-    out = _prepare_out(args.out, args.force)
+    criteria = _parse_list(args.iou_sweep, "--iou-sweep", ok=lambda v: 0.0 < v < 1.0,
+                           what="IoU criteria in (0, 1)") if args.iou_sweep else []
     # one matching pass per distinct criterion feeds its curve file, the plots
     # and the sweep rows
     curves = {c: evaluation.curve(dets, gts, c) for c in dict.fromkeys([args.iou, *criteria])}
+    out = _prepare_out(args.out, args.force)
     for c in curves.values():
         _write(os.path.join(out, f"curve_iou{int(round(c.iou_criterion * 100)):02d}.csv"),
                evaluation.curve_csv(c))
@@ -269,6 +274,8 @@ def cmd_analyze(args) -> int:
         dims = (input_size, input_size)
     else:
         raise UsageError("--input WxH required when the config has no default size")
+    if not args.compute_rate > 0:
+        raise UsageError(f"--compute-rate expects a positive number, got {args.compute_rate}")
     scenario_cfg = {"compute_rate": args.compute_rate, "bandwidths_gbps": None}
     if args.scenario:
         loaded = _read_input(args.scenario, "scenario", _read_json)
@@ -277,12 +284,14 @@ def cmd_analyze(args) -> int:
         scenario_cfg.update(loaded)
         bws = scenario_cfg["bandwidths_gbps"]
         if not (bws is None or isinstance(bws, list)) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float))
+                isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0
                 for v in [scenario_cfg["compute_rate"], *(bws or [])]):
-            raise DataError(f"scenario {args.scenario!r}: compute_rate must be a number and "
-                            "bandwidths_gbps a list of numbers")
+            raise DataError(f"scenario {args.scenario!r}: compute_rate must be a positive "
+                            "number and bandwidths_gbps a list of positive numbers")
     if args.bw_sweep:
-        scenario_cfg["bandwidths_gbps"] = _parse_list(args.bw_sweep, "--bw-sweep")
+        scenario_cfg["bandwidths_gbps"] = _parse_list(args.bw_sweep, "--bw-sweep",
+                                                      ok=lambda v: v > 0,
+                                                      what="positive numbers")
     out = _prepare_out(args.out, args.force)
     report = perfsim.analyze(spec, dims)
     _write(os.path.join(out, "layers.csv"), perfsim.report_csv(report))

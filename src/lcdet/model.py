@@ -15,6 +15,7 @@ is documented in FORMATS.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .detector import head_views
 from .errors import (BadMagicError, ChecksumError, ConfigError, DataError,
-                     TruncatedError, VersionError)
+                     ModelFormatError, TruncatedError, VersionError)
 from .quant import (CalibrationRecord, QuantParams, QuantizedTensor, dequantize,
                     qconv2d, qmaxpool2d, quantize, quantize_with)
 from .tensor import activate, conv2d_batched, maxpool2d_batched, sigmoid, softmax
@@ -413,6 +414,8 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
+        if n < 0:
+            raise ModelFormatError(f"negative length {n} at offset {self.pos}")
         if self.pos + n > len(self.data):
             raise TruncatedError(
                 f"file truncated: needed {n} bytes at offset {self.pos}, "
@@ -425,21 +428,24 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _read_record(r: _Reader):
+def _read_record(r: _Reader, want_rank: int, what: str):
+    """A record's dims, flat payload and range (None for float32)."""
     tag, rank = r.unpack("<BI")
     if tag not in (DTYPE_F32, DTYPE_U8):
         raise DataError(f"unknown dtype tag {tag}")
+    if rank != want_rank:
+        raise DataError(f"{what} record has rank {rank}, expected {want_rank}")
     dims = r.unpack(f"<{rank}I")
     params = None
     if tag == DTYPE_U8:
         lo, hi = r.unpack("<2f")
         params = QuantParams(lo, hi)
     dtype = np.dtype("<f4" if tag == DTYPE_F32 else np.uint8)
-    payload = r.take(int(np.prod(dims)) * dtype.itemsize)
+    payload = r.take(math.prod(dims) * dtype.itemsize)  # Python ints: no overflow
     (crc,) = r.unpack("<I")
     if zlib.crc32(payload) != crc:
         raise ChecksumError("payload CRC32 mismatch")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy(), params
+    return dims, np.frombuffer(payload, dtype=dtype).copy(), params
 
 
 def save(model: Model) -> bytes:
@@ -483,14 +489,16 @@ def load(data: bytes) -> Model:
         if layer.kind == "maxpool":
             weights.append(LayerWeights())
             continue
-        w, params = _read_record(r)
-        b, bparams = _read_record(r)
+        where = f"model layer {i} ({layer.kind})"
+        w_dims, w, params = _read_record(r, 4, f"{where}: weight")
+        b_dims, b, bparams = _read_record(r, 1, f"{where}: bias")
         if bparams is not None:
             raise DataError("bias records must be float32")
         want = (*layer.kernel, in_ch, layer.out_channels)
-        if w.shape != want or b.shape != want[3:]:
-            raise DataError(f"model layer {i} ({layer.kind}): records hold weights {w.shape} "
-                            f"and bias {b.shape}, the header says {want} and {want[3:]}")
+        if w_dims != want or b_dims != want[3:]:
+            raise DataError(f"{where}: records hold weights {w_dims} "
+                            f"and bias {b_dims}, the header says {want} and {want[3:]}")
+        w = w.reshape(want)
         lw = LayerWeights(QuantizedTensor(w, params) if params is not None else w, b)
         weights.append(lw)
         in_ch = layer.out_channels

@@ -25,6 +25,16 @@ from .tensor import activate, im2col, maxpool2d_batched
 # embedded target. Here the sums run in float64 BLAS, exact up to 2**53.
 MAX_WINDOW_TERMS = 1 << 15
 
+# Float64 work on large tensors runs in blocks of this many values (512 KB,
+# cache-sized): qconv2d casts its u8 weights one block of K-rows at a time,
+# each with its own GEMM, instead of building a float64 copy of the whole
+# tensor on every call, and quantize_with never holds a float64 copy of a
+# whole weight tensor. 2**16 was fastest: a paper-profile 8-bit frame took
+# 1.2-1.4x as long with 2**14, 2**18 or 2**20. Every toy layer's K * (cout + 1)
+# fits in one block; a toy activation (up to 200,704 values) takes four, which
+# requantized no slower than one.
+BLOCK_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class QuantParams:
@@ -70,18 +80,24 @@ def quantize_with(w: np.ndarray, params: QuantParams) -> QuantizedTensor:
     """Quantize onto a caller-supplied range; values outside it saturate.
 
     Every value below 0 saturates to byte 0, so rounding half away from zero
-    is ``floor(v + 0.5)`` on every byte that survives; one float64 buffer.
+    is ``floor(v + 0.5)`` on every byte that survives. The values pass through
+    one float64 buffer of at most ``BLOCK_VALUES`` values; each byte depends on
+    its own value only, so the blocks change no byte.
     """
     w = np.asarray(w)
+    data = np.zeros(w.shape, dtype=np.uint8)
     span = params.max - params.min
-    if span <= 0.0:
-        data = np.zeros(w.shape, dtype=np.uint8)
-    else:
-        v = np.array(w, dtype=np.float64)
-        v -= params.min
-        v *= 255.0 / span
-        v += 0.5
-        data = np.clip(np.floor(v, out=v), 0.0, 255.0, out=v).astype(np.uint8)
+    if span > 0.0:
+        flat, out = w.reshape(-1), data.reshape(-1)
+        buf = np.empty(min(flat.size, BLOCK_VALUES))
+        for k0 in range(0, flat.size, BLOCK_VALUES):
+            chunk = flat[k0:k0 + BLOCK_VALUES]
+            v = buf[:chunk.size]
+            v[...] = chunk
+            v -= params.min
+            v *= 255.0 / span
+            v += 0.5
+            out[k0:k0 + BLOCK_VALUES] = np.clip(np.floor(v, out=v), 0.0, 255.0, out=v)
     return QuantizedTensor(data, params)
 
 
@@ -125,20 +141,33 @@ def qconv2d(input: QuantizedTensor, weights: QuantizedTensor, bias: np.ndarray,
     h, w, c = input.data.shape
     if c != cin:
         raise ConfigError(f"input has {c} channels, kernel expects {cin}")
-    if kh * kw * cin > MAX_WINDOW_TERMS:
+    k = kh * kw * cin
+    if k > MAX_WINDOW_TERMS:
         raise ConfigError(
-            f"window of {kh * kw * cin} terms exceeds the {MAX_WINDOW_TERMS} "
-            "accumulator-overflow bound")
+            f"window of {k} terms exceeds the {MAX_WINDOW_TERMS} accumulator-overflow bound")
 
     sx, mx = input.params.scale, input.params.min
     sw, mw = weights.params.scale, weights.params.min
 
-    # One float64 GEMM gives every window sum and, through a column of ones,
-    # each window's input sum; integers below 2**53 keep it exact.
+    # Float64 GEMMs give every window sum and, through a column of ones, each
+    # window's input sum. The weights are cast one block of K-rows at a time
+    # into one buffer that keeps its ones column; every partial sum is an
+    # integer below 2**31, so adding the blocks' GEMMs is exact in any order.
     cols, oh, ow = im2col(input.data[None], kh, kw, stride, padding)
-    wq = np.ones((kh * kw * cin, cout + 1))
-    wq[:, :cout] = weights.data.reshape(kh * kw * cin, cout)
-    acc = cols.astype(np.float64) @ wq
+    cols = cols.astype(np.float64)
+    w2d = weights.data.reshape(k, cout)
+    rows = max(1, BLOCK_VALUES // (cout + 1))
+    wq = np.ones((min(rows, k), cout + 1))
+    for k0 in range(0, k, rows):
+        taps = w2d[k0:k0 + rows]
+        block = wq[:len(taps)]
+        block[:, :cout] = taps
+        if k0 == 0:
+            acc = cols[:, :rows] @ block
+        else:
+            acc += cols[:, k0:k0 + rows] @ block
+    # dropped before the epilogue, so its float64 arrays can reuse the memory
+    del cols
     out = (sx * sw) * acc[:, :cout] \
         + (sx * mw) * acc[:, cout:] \
         + np.asarray(bias, dtype=np.float64)[None, :]

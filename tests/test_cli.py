@@ -348,6 +348,12 @@ def test_error_exit_code_contract():
     (["analyze", "--profile", "toy", "--scenario", "bw_string.json"], 2),
     (["analyze", "--profile", "toy", "--scenario", "rate_string.json"], 2),
     (["analyze", "--profile", "toy", "--scenario", "bw_strings.json"], 2),
+    (["analyze", "--profile", "toy", "--scenario", "bw_zero.json"], 2),
+    (["analyze", "--profile", "toy", "--bw-sweep", "0,1"], 1),
+    (["analyze", "--profile", "toy", "--compute-rate", "0"], 1),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt.json",
+      "--iou-sweep", "0.5,1.5"], 1),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt.json", "--iou", "0"], 2),
 ])
 def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -357,9 +363,12 @@ def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv,
     (tmp_path / "bw_string.json").write_text('{"bandwidths_gbps": "ab"}')
     (tmp_path / "rate_string.json").write_text('{"compute_rate": "fast", "bandwidths_gbps": [1]}')
     (tmp_path / "bw_strings.json").write_text('{"bandwidths_gbps": [1, "2"]}')
+    (tmp_path / "bw_zero.json").write_text('{"bandwidths_gbps": [0, 1]}')
     (tmp_path / "gt.json").write_text("{}")
     (tmp_path / "dets.jsonl").write_text("")
     assert run(*argv, "--out", "o") == code
-    err = capsys.readouterr().err
+    printed = capsys.readouterr()
+    err = printed.err
     assert "Traceback" not in err and err.startswith("error: ") and err.count("\n") == 1
+    assert printed.out == ""
     assert not (tmp_path / "o").exists()

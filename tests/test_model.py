@@ -1,12 +1,15 @@
+import functools
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcdet.model as M
 from lcdet.errors import (BadMagicError, ChecksumError, ConfigError, DataError,
-                          TruncatedError, VersionError)
+                          ModelFormatError, TruncatedError, VersionError)
 from lcdet.quant import calibrate
 
 from conftest import tiny_net_spec
@@ -250,6 +253,99 @@ def test_malformed_header_is_a_data_error(tmp_path, capsys, mutate, message):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
+
+
+def test_load_rejects_a_flipped_record_rank():
+    # byte 1378 of a toy float file is the first record's rank: bit 3 makes it
+    # 12, and the product of twelve u32 dims once overflowed a numpy integer
+    # to a negative length, which read backwards into a struct.error
+    blob = bytearray(M.save(M.init_model(M.build_lcdet(M.profile_config("toy")), seed=21)))
+    assert blob[1378] == 4
+    blob[1378] ^= 1 << 3
+    with pytest.raises(DataError, match=re.escape(
+            "model layer 0 (conv): weight record has rank 12, expected 4")):
+        M.load(bytes(blob))
+
+
+def test_load_payload_size_does_not_overflow():
+    # dims (2**31, 2**31, 2, 1) hold 2**63 values: a numpy int64 product
+    # wraps to a negative size
+    blob = bytearray(M.save(_small_model()))
+    dims_at = 12 + int.from_bytes(blob[8:12], "little") + 5
+    blob[dims_at:dims_at + 16] = np.array([2**31, 2**31, 2, 1], "<u4").tobytes()
+    with pytest.raises(TruncatedError, match=f"needed {2**65} bytes"):
+        M.load(bytes(blob))
+
+
+def test_reader_rejects_a_negative_length():
+    with pytest.raises(ModelFormatError, match="negative length"):
+        M._Reader(b"abcd").take(-1)
+
+
+def _record_heads(blob: bytes, pos: int) -> list[int]:
+    """Offsets of every record's tag, rank, dims and range bytes (FORMATS.md)."""
+    heads = []
+    while pos < len(blob):
+        rank = int.from_bytes(blob[pos + 1:pos + 5], "little")
+        dims = np.frombuffer(blob[pos + 5:pos + 5 + 4 * rank], "<u4")
+        end = pos + 5 + 4 * rank + (8 if blob[pos] == M.DTYPE_U8 else 0)
+        heads.extend(range(pos, end))
+        pos = end + int(dims.prod()) * (1 if blob[pos] == M.DTYPE_U8 else 4) + 4
+    return heads
+
+
+@functools.cache
+def _model_files():
+    """A float and a quantized tiny model file, each with its header length and
+    the offsets of its record heads."""
+    model = _small_model()
+    rec = calibrate(model, [np.random.default_rng(0).random((8, 8, 3), dtype=np.float32)])
+    files = []
+    for blob in (M.save(model), M.save(M.quantize_model(model, rec))):
+        n = int.from_bytes(blob[8:12], "little")
+        files.append((blob, n, _record_heads(blob, 12 + n)))
+    return files
+
+
+def _load_or_data_error(blob):
+    """``load`` either returns a model or raises a data error, never anything else."""
+    try:
+        M.load(blob)
+    except DataError:
+        pass
+
+
+_FILES = st.sampled_from([0, 1]).map(lambda i: _model_files()[i])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILES, st.data())
+def test_load_survives_single_bit_flips(file, data):
+    # half the flips land in the record heads, a few hundred bytes of the file
+    blob, _, heads = file
+    byte = data.draw(st.one_of(st.integers(0, len(blob) - 1), st.sampled_from(heads)))
+    flipped = bytearray(blob)
+    flipped[byte] ^= 1 << data.draw(st.integers(0, 7))
+    _load_or_data_error(bytes(flipped))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILES, st.data())
+def test_load_survives_printable_header_edits(file, data):
+    blob, n, _ = file
+    edited = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        edited[12 + data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0x20, 0x7E))
+    _load_or_data_error(bytes(edited))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FILES, st.data())
+def test_load_rejects_every_truncation(file, data):
+    blob, _, _ = file
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(TruncatedError):
+        M.load(blob[:cut])
 
 
 def test_load_rejects_bias_record_of_wrong_length():

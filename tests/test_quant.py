@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lcdet import quant
 from lcdet.errors import ConfigError, UsageError
 from lcdet.model import init_model
-from lcdet.quant import (MAX_WINDOW_TERMS, QuantParams, QuantizedTensor, calibrate,
+from lcdet.quant import (BLOCK_VALUES, MAX_WINDOW_TERMS, QuantParams, QuantizedTensor, calibrate,
                          dequantize, qconv2d, qmaxpool2d, quantize, quantize_with)
 from lcdet.tensor import activate, conv2d
 
@@ -273,6 +276,101 @@ def test_round_trip_within_half_step_on_drawn_floats(w):
     bound = (q.params.max - q.params.min) / 510.0
     slack = 4 * np.finfo(np.float64).eps * max(abs(q.params.min), abs(q.params.max))
     assert np.abs(dequantize(q) - w).max() <= bound + slack
+
+
+@pytest.mark.parametrize("x_lo", [0.0, -0.7])  # min != 0 runs the border correction
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_qconv_exact_over_several_weight_blocks(x_lo, data):
+    # BLOCK_VALUES shrunk so the K rows split into 3 or more blocks, the last
+    # one ragged
+    kh, kw = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    cin, cout = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 6))
+    k = kh * kw * cin
+    ragged = [r for r in range(2, (k - 1) // 2 + 1) if k % r]
+    assume(ragged)
+    rows = data.draw(st.sampled_from(ragged))
+    block = rows * (cout + 1) + data.draw(st.integers(0, cout))
+    stride, padding = data.draw(st.integers(1, 2)), data.draw(st.sampled_from(["same", "valid"]))
+    h, wd = data.draw(st.integers(kh, 7)), data.draw(st.integers(kw, 7))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = QuantizedTensor(rng.integers(0, 256, (h, wd, cin), dtype=np.uint8),
+                        QuantParams(x_lo, x_lo + data.draw(_RANGE_SPAN)))
+    w_lo = data.draw(_RANGE_MIN)
+    w = QuantizedTensor(rng.integers(0, 256, (kh, kw, cin, cout), dtype=np.uint8),
+                        QuantParams(w_lo, w_lo + data.draw(_RANGE_SPAN)))
+    bias = rng.normal(size=cout).astype(np.float32)
+    activation = data.draw(st.sampled_from(["relu", "identity"]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quant, "BLOCK_VALUES", block)
+        assert block // (cout + 1) == rows and -(-k // rows) >= 3 and k % rows
+        _assert_qconv_exact(x, w, bias, stride, padding, activation)
+
+
+def _quantize_one_buffer(w, params):
+    """quantize_with before it worked in blocks: one float64 copy of all of w."""
+    span = params.max - params.min
+    if span <= 0.0:
+        return np.zeros(np.shape(w), dtype=np.uint8)
+    v = np.array(w, dtype=np.float64)
+    v -= params.min
+    v *= 255.0 / span
+    v += 0.5
+    return np.clip(np.floor(v, out=v), 0.0, 255.0, out=v).astype(np.uint8)
+
+
+@pytest.mark.parametrize("size", [BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1,
+                                  2 * BLOCK_VALUES + 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_quantize_with_blocks_equal_one_buffer(size, dtype):
+    rng = np.random.default_rng(size)
+    # about a third of the values saturate at each end; the ties sit at the
+    # block edges, where a wrong block offset would show
+    w = rng.normal(0.5, 0.6, size).astype(dtype)
+    ties = np.arange(-2, 258) + 0.5
+    for at in range(0, size, BLOCK_VALUES):
+        w[max(0, at - 130):at + 130] = ties[:len(w[max(0, at - 130):at + 130])] / 255.0
+    w[-1], w[0] = 1e30, -1e30
+    for params in (QuantParams(0.0, 1.0), QuantParams(0.2, 0.2)):
+        want = _quantize_one_buffer(w, params)
+        np.testing.assert_array_equal(quantize_with(w, params).data, want)
+        # a strided view of a 2-D tensor goes through the same blocks
+        w2 = w[:size - size % 3].reshape(3, -1).T
+        np.testing.assert_array_equal(quantize_with(w2, params).data,
+                                      _quantize_one_buffer(w2, params))
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_float64_copy_of_a_whole_weight_tensor():
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(3, 3, 128, 512)).astype(np.float32)  # 589,824 values
+    whole = w.size * 8
+    assert _peak_bytes(lambda: quantize(w)) < w.size + whole / 4  # u8 result + blocks
+    q = quantize(w)
+    x = QuantizedTensor(rng.integers(0, 256, (2, 2, 128), dtype=np.uint8), QuantParams(0.1, 1.0))
+    assert _peak_bytes(lambda: qconv2d(x, q, np.zeros(512, np.float32),
+                                       out_params=QuantParams(-1.0, 1.0))) < whole / 4
+
+
+def test_qconv_requantizes_through_quantize_with_once(rng, monkeypatch):
+    # the benchmark's quant.requant_ms is the time of this nested call
+    x = QuantizedTensor(rng.integers(0, 256, (5, 6, 3), dtype=np.uint8), QuantParams(0.1, 0.9))
+    w = quantize(rng.normal(size=(3, 3, 3, 4)).astype(np.float32))
+    calls = []
+    real = quant.quantize_with
+    monkeypatch.setattr(quant, "quantize_with",
+                        lambda out, params: calls.append(out.shape) or real(out, params))
+    for _ in range(2):
+        qconv2d(x, w, np.zeros(4, np.float32), out_params=QuantParams(-1.0, 1.0))
+    assert calls == [(5, 6, 4), (5, 6, 4)]
 
 
 def test_qmaxpool_matches_float_pool(rng):
