@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data, detector, evaluation, perfsim, plot, quant, train
 from . import model as model_mod
-from .errors import DataError, LCDetError, NumericError, UsageError
+from .errors import ConfigError, DataError, LCDetError, NumericError, UsageError
 
 DEFAULT_SEED = 0
 
@@ -99,14 +99,23 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise UsageError(f"--input expects WxH, got {text!r}") from None
 
 
+def _check_dims(spec, dims: tuple[int, int]):
+    """``model.check_resolution`` on a (width, height) asked for, as a usage error."""
+    try:
+        model_mod.check_resolution(spec, dims[1], dims[0])
+    except ConfigError as e:
+        raise UsageError(str(e)) from None
+
+
 # ---------------------------------------------------------------------------
 # train
 
 def cmd_train(args) -> int:
     config = _load_network_config(args)
     spec = model_mod.build_lcdet(config)
-    image_size = args.image_size or config.get("input_size", 112)
+    image_size = args.image_size or config.get("input_size") or 112
     if args.synthetic:
+        _check_dims(spec, (image_size, image_size))
         dataset = data.synth_dataset(args.synthetic, (image_size, image_size),
                                      seed=args.seed, augment=args.augment)
     elif args.dataset:
@@ -182,6 +191,8 @@ def cmd_quantize(args) -> int:
 # infer
 
 def cmd_infer(args) -> int:
+    if not 0.0 <= args.nms_iou <= 1.0:
+        raise UsageError(f"--nms-iou expects an IoU threshold in [0, 1], got {args.nms_iou}")
     net = _read_input(args.model, "model", model_mod.load_file)
     spec = net.spec
     dets_by_image = {}
@@ -212,13 +223,15 @@ def cmd_infer(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
+    if not 0.0 < args.iou < 1.0:
+        raise UsageError(f"--iou expects an IoU criterion in (0, 1), got {args.iou}")
+    criteria = _parse_list(args.iou_sweep, "--iou-sweep", ok=lambda v: 0.0 < v < 1.0,
+                           what="IoU criteria in (0, 1)") if args.iou_sweep else []
     dets = _read_input(args.detections, "detections", detector.read_jsonl)
     gts = _read_input(args.ground_truth, "ground truth", data.load_annotations)
     if dets and gts and not dets.keys() & gts.keys():
         raise DataError(f"detections and ground truth share no image id (detections: "
                         f"{next(iter(dets))!r}, ground truth: {next(iter(gts))!r})")
-    criteria = _parse_list(args.iou_sweep, "--iou-sweep", ok=lambda v: 0.0 < v < 1.0,
-                           what="IoU criteria in (0, 1)") if args.iou_sweep else []
     # one matching pass per distinct criterion feeds its curve file, the plots
     # and the sweep rows
     curves = {c: evaluation.curve(dets, gts, c) for c in dict.fromkeys([args.iou, *criteria])}
@@ -274,6 +287,7 @@ def cmd_analyze(args) -> int:
         dims = (input_size, input_size)
     else:
         raise UsageError("--input WxH required when the config has no default size")
+    _check_dims(spec, dims)
     if not args.compute_rate > 0:
         raise UsageError(f"--compute-rate expects a positive number, got {args.compute_rate}")
     scenario_cfg = {"compute_rate": args.compute_rate, "bandwidths_gbps": None}

@@ -145,6 +145,8 @@ def read_ppm(path) -> np.ndarray:
             raise DataError(f"{path}: malformed PPM header") from None
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: PPM size {w}x{h} has no pixels")
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
     need = w * h * 3
@@ -181,14 +183,20 @@ def load_annotations(path) -> dict[str, list[GroundTruthBox]]:
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: bad annotation JSON at line {e.lineno}: {e.msg}") from e
+        except (ValueError, RecursionError) as e:  # not UTF-8, an integer too long, too deep
+            raise DataError(f"{path}: bad annotation JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: annotations must be a JSON object of box lists")
     out = {}
     for name, entries in raw.items():
+        if not isinstance(entries, list):
+            raise DataError(f"{path}: entries for {name!r} must be a list")
         boxes = []
         for e in entries:
             try:
                 cx, cy, w, h = (float(v) for v in e["box"])
                 boxes.append(GroundTruthBox(cx, cy, w, h, int(e.get("class_id", 0))))
-            except (KeyError, TypeError, ValueError) as err:
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise DataError(f"{path}: bad box entry for {name!r}: {err}") from err
         out[name] = boxes
     return out

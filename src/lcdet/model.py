@@ -69,8 +69,8 @@ class NetworkSpec:
         return s
 
     def validate(self):
-        if self.num_classes < 1 or self.boxes_per_cell < 1:
-            raise ConfigError("num_classes and boxes_per_cell must be >= 1")
+        if min(self.num_classes, self.boxes_per_cell, self.input_channels) < 1:
+            raise ConfigError("num_classes, boxes_per_cell and input_channels must be >= 1")
         heads = [i for i, l in enumerate(self.layers) if l.kind == "detection_head"]
         if len(heads) != 1:
             raise ConfigError(f"network must have exactly one detection_head, found {len(heads)}")
@@ -97,8 +97,8 @@ class NetworkSpec:
                                       "for the detection_head")
             if layer.padding not in LAYER_PADDINGS:
                 raise ConfigError(f"layer {i}: unknown padding {layer.padding!r}")
-            if layer.stride < 1:
-                raise ConfigError(f"layer {i}: stride must be >= 1")
+            if layer.stride < 1 or min(layer.kernel) < 1:
+                raise ConfigError(f"layer {i}: stride and kernel sides must be >= 1")
 
 
 @dataclass
@@ -154,6 +154,11 @@ _LAYER_FIELDS = {"kind": str, "kernel": [int], "out_channels": (int, type(None))
 _NETWORK_FIELDS = {"layers": list, "num_classes": int, "boxes_per_cell": int,
                    "input_channels": int}
 _RANGE = [(int, float)]
+# a config's optional fields and their defaults; input_size is read by the CLI
+_CONFIG_DEFAULTS = {"num_classes": 1, "boxes_per_cell": 3, "convdet_channels": 256,
+                    "input_channels": 3, "backbone": [], "input_size": None}
+_CONFIG_FIELDS = {"num_classes": int, "boxes_per_cell": int, "convdet_channels": int,
+                  "input_channels": int, "backbone": list, "input_size": (int, type(None))}
 
 
 def _layer_spec(entry, where: str) -> LayerSpec:
@@ -182,17 +187,16 @@ def build_lcdet(config: dict) -> NetworkSpec:
     activation. C and K come from the config's ``num_classes`` (default 1)
     and ``boxes_per_cell`` (default 3).
     """
-    c = int(config.get("num_classes", 1))
-    k = int(config.get("boxes_per_cell", 3))
-    layers = [_layer_from_dict(entry, i) for i, entry in enumerate(config.get("backbone", []))]
-    convdet = int(config.get("convdet_channels", 256))
+    net = _fields({**_CONFIG_DEFAULTS, **config}, _CONFIG_FIELDS, "config")
+    c, k, convdet = net["num_classes"], net["boxes_per_cell"], net["convdet_channels"]
+    layers = [_layer_from_dict(entry, i) for i, entry in enumerate(net["backbone"])]
     layers.append(LayerSpec(kind="conv", kernel=(3, 3), out_channels=convdet,
                             stride=1, padding="same", activation="relu"))
     layers.append(LayerSpec(kind="detection_head", kernel=(1, 1),
                             out_channels=c + 5 * k, stride=1, padding="same",
                             activation="final"))
     spec = NetworkSpec(layers=layers, num_classes=c, boxes_per_cell=k,
-                       input_channels=int(config.get("input_channels", 3)),
+                       input_channels=net["input_channels"],
                        name=str(config.get("name", "custom")))
     spec.validate()
     return spec
@@ -203,6 +207,8 @@ def parse_config(text: str) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as e:
         raise DataError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # an integer too long, arrays nested too deep
+        raise DataError(f"config parse error: {e}") from e
     if not isinstance(config, dict):
         raise DataError("config root must be a JSON object")
     return config
@@ -294,10 +300,10 @@ def init_model(spec: NetworkSpec, seed: int = 0) -> Model:
 
 def check_resolution(spec: NetworkSpec, height: int, width: int):
     ts = spec.total_stride
-    if height % ts or width % ts:
+    if height % ts or width % ts or min(height, width) < ts:
         raise ConfigError(
             f"input {width}x{height} rejected: height and width must be "
-            f"multiples of the total stride {ts}")
+            f"positive multiples of the total stride {ts}")
 
 
 def layer_activation(layer: LayerSpec) -> str:
@@ -309,35 +315,38 @@ def layer_activation(layer: LayerSpec) -> str:
     return "identity" if layer.kind == "detection_head" else layer.activation
 
 
-def run_layers(model: Model, x, record: list | None = None):
+def run_layers(model: Model, x, on_layer=None):
     """Walk the layer list once; returns the raw head output.
 
     ``x`` is a float batch (N, H, W, C), or a QuantizedTensor (H, W, C) for
     the 8-bit path, whose layer outputs are requantized onto the model's
-    calibrated ranges. When ``record`` is a list, every layer's output
-    (after its activation, head before the split) is appended to it.
+    calibrated ranges. ``on_layer(i, x_in, out, cols)``, when given, sees
+    every layer's input and output (after its activation, head before the
+    split); ``cols`` is a float conv's im2col columns and None otherwise.
     """
     quantized = isinstance(x, QuantizedTensor)
     for i, (layer, lw) in enumerate(zip(model.spec.layers, model.weights)):
+        cols = [] if on_layer is not None and not quantized else None
         try:
             if layer.kind == "maxpool":
                 pool = qmaxpool2d if quantized else maxpool2d_batched
-                x = pool(x, layer.kernel[0], layer.stride)
+                out = pool(x, layer.kernel[0], layer.stride)
             elif lw.quantized != quantized:
                 raise ConfigError("float weights in quantized mode; quantize the model first"
                                   if quantized else
                                   "model holds quantized weights; use quantized mode")
             elif quantized:
-                x = qconv2d(x, lw.w, lw.b, layer.stride, layer.padding,
-                            out_params=model.calibration.layers[i],
-                            activation=layer_activation(layer))
+                out = qconv2d(x, lw.w, lw.b, layer.stride, layer.padding,
+                              out_params=model.calibration.layers[i],
+                              activation=layer_activation(layer))
             else:
-                x = activate(conv2d_batched(x, lw.w, lw.b, layer.stride, layer.padding),
-                             layer_activation(layer))
+                out = activate(conv2d_batched(x, lw.w, lw.b, layer.stride, layer.padding,
+                                              cols), layer_activation(layer))
         except ConfigError as e:
             raise ConfigError(f"layer {i} ({layer.kind}): {e}") from e
-        if record is not None:
-            record.append(x)
+        if on_layer is not None:
+            on_layer(i, x, out, cols.pop() if cols else None)
+        x = out
     return x
 
 

@@ -190,21 +190,6 @@ def qmaxpool2d(input: QuantizedTensor, size: int, stride: int) -> QuantizedTenso
     return QuantizedTensor(pooled, input.params)
 
 
-class RangeTracker:
-    """Running min/max accumulator for one tensor stream."""
-
-    def __init__(self):
-        self.lo = np.inf
-        self.hi = -np.inf
-
-    def update(self, x: np.ndarray):
-        self.lo = min(self.lo, float(x.min()))
-        self.hi = max(self.hi, float(x.max()))
-
-    def params(self) -> QuantParams:
-        return QuantParams(self.lo, self.hi)
-
-
 def calibrate(model, images) -> CalibrationRecord:
     """Record per-layer output ranges by running the float model over a set.
 
@@ -216,14 +201,16 @@ def calibrate(model, images) -> CalibrationRecord:
     images = list(images)
     if not images:
         raise UsageError("calibration needs at least one image")
-    input_tracker = RangeTracker()
-    layer_trackers: list[RangeTracker] = []
+    # running min/max of every layer's output; the network input's sit last
+    lo = [np.inf] * (len(model.spec.layers) + 1)
+    hi = [-np.inf] * len(lo)
+
+    def fold(i, x_in, out, cols):
+        lo[i] = min(lo[i], float(out.min()))
+        hi[i] = max(hi[i], float(out.max()))
+
     for image in images:
-        input_tracker.update(image)
-        outputs: list[np.ndarray] = []
-        run_layers(model, image[None].astype(np.float32, copy=False), record=outputs)
-        if not layer_trackers:
-            layer_trackers = [RangeTracker() for _ in outputs]
-        for tracker, out in zip(layer_trackers, outputs):
-            tracker.update(out)
-    return CalibrationRecord(input_tracker.params(), [t.params() for t in layer_trackers])
+        fold(-1, None, image, None)
+        run_layers(model, image[None].astype(np.float32, copy=False), fold)
+    ranges = [QuantParams(a, b) for a, b in zip(lo, hi)]
+    return CalibrationRecord(ranges[-1], ranges[:-1])

@@ -79,8 +79,10 @@ def col2im(taps: np.ndarray, x_shape, stride: int, padding: str) -> np.ndarray:
 
 
 def conv2d_batched(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                   stride: int = 1, padding: str = "same") -> np.ndarray:
-    """Convolve a batch (N, H, W, Cin) with (kh, kw, Cin, Cout) weights."""
+                   stride: int = 1, padding: str = "same",
+                   cols: list | None = None) -> np.ndarray:
+    """Convolve a batch (N, H, W, Cin) with (kh, kw, Cin, Cout) weights; the
+    im2col columns are appended to ``cols`` when it is a list."""
     kh, kw, cin, cout = weights.shape
     if x.ndim != 4:
         raise ConfigError(f"expected rank-4 batch, got rank {x.ndim}")
@@ -90,8 +92,10 @@ def conv2d_batched(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ConfigError(f"bias length {bias.shape} does not match {cout} output channels")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    cols, oh, ow = im2col(x, kh, kw, stride, padding)
-    out = cols @ weights.reshape(kh * kw * cin, cout)
+    patches, oh, ow = im2col(x, kh, kw, stride, padding)
+    if cols is not None:
+        cols.append(patches)
+    out = patches @ weights.reshape(kh * kw * cin, cout)
     out += bias
     return out.reshape(x.shape[0], oh, ow, cout)
 

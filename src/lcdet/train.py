@@ -25,8 +25,8 @@ from .data import GroundTruthBox
 from .detector import box_iou, clamp_boxes, head_views
 from .errors import ConfigError, NumericError, UsageError
 from .model import (Model, check_resolution, head_activation, layer_activation,
-                    save_file)
-from .tensor import LEAKY_SLOPE, activate, col2im, im2col, maxpool2d_batched, pool_windows
+                    run_layers, save_file)
+from .tensor import LEAKY_SLOPE, col2im, pool_windows
 
 SQRT_FLOOR = 1e-6  # lower clamp on raw sqrt-extent outputs inside the loss
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -252,38 +252,25 @@ def _act_derivative(out: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _forward_trace(model: Model, xb: np.ndarray):
-    """Batched float forward keeping what backward needs; returns raw head."""
+    """Batched float forward keeping what backward needs; returns the raw head
+    and per layer (a pool's input or a conv's input shape, output, conv cols)."""
+    if model.quantized:
+        raise ConfigError("quantization is inference-only; training needs the float model")
     caches = []
-    x = xb
-    for idx, (layer, lw) in enumerate(zip(model.spec.layers, model.weights)):
-        if layer.kind == "maxpool":
-            out = maxpool2d_batched(x, layer.kernel[0], layer.stride)
-            caches.append({"kind": "maxpool", "x": x, "out": out,
-                           "size": layer.kernel[0], "stride": layer.stride})
-        else:
-            if lw.quantized:
-                raise ConfigError("quantization is inference-only; training needs the float model")
-            kh, kw, cin, cout = lw.w.shape
-            cols, oh, ow = im2col(x, kh, kw, layer.stride, layer.padding)
-            pre = cols @ lw.w.reshape(kh * kw * cin, cout)
-            pre += lw.b
-            pre = pre.reshape(x.shape[0], oh, ow, cout)
-            act_kind = layer_activation(layer)
-            out = activate(pre, act_kind)
-            caches.append({"kind": "conv", "cols": cols, "x_shape": x.shape,
-                           "layer": layer, "w": lw.w, "act": act_kind, "out": out})
+
+    def keep(i, x, out, cols):
+        caches.append((x if cols is None else x.shape, out, cols))
         if np.isnan(out).any():
-            raise NumericError(f"NaN in output of layer {idx} ({layer.kind})")
-        x = out
-    return x, caches
+            raise NumericError(f"NaN in output of layer {i} ({model.spec.layers[i].kind})")
+
+    return run_layers(model, xb, keep), caches
 
 
-def _maxpool_backward(cache, gy: np.ndarray) -> np.ndarray:
+def _maxpool_backward(x: np.ndarray, y: np.ndarray, gy: np.ndarray, layer) -> np.ndarray:
     """Route each window's gradient to its first maximum in row-major order."""
-    x, y = cache["x"], cache["out"]
     gx = np.zeros_like(x)
     claimed = None
-    for sl, osl in pool_windows(x.shape[1], x.shape[2], cache["size"], cache["stride"]):
+    for sl, osl in pool_windows(x.shape[1], x.shape[2], layer.kernel[0], layer.stride):
         hit = x[sl] == y[osl]
         if claimed is None:
             claimed = hit  # offset (0, 0) lies in every window
@@ -299,22 +286,22 @@ def _backward_trace(model: Model, caches, raw_grad: np.ndarray):
     grads: list[tuple | None] = [None] * len(caches)
     g = raw_grad
     for idx in range(len(caches) - 1, -1, -1):
-        cache = caches[idx]
-        if cache["kind"] == "maxpool":
-            g = _maxpool_backward(cache, g)
+        layer, w = model.spec.layers[idx], model.weights[idx].w
+        x, out, cols = caches[idx]  # x: a pool's input, a conv's input shape
+        if layer.kind == "maxpool":
+            g = _maxpool_backward(x, out, g, layer)
             continue
-        layer, w = cache["layer"], cache["w"]
         kh, kw, cin, cout = w.shape
-        dpre = g * _act_derivative(cache["out"], cache["act"])
+        dpre = g * _act_derivative(out, layer_activation(layer))
         dpre2 = dpre.reshape(-1, cout)
-        dw = (cache["cols"].T @ dpre2).reshape(kh, kw, cin, cout)
+        dw = (cols.T @ dpre2).reshape(kh, kw, cin, cout)
         db = dpre2.sum(axis=0)
         grads[idx] = (dw, db)
         if idx == 0:
             break  # nothing consumes the gradient of the input image
         taps = np.matmul(dpre2, w.reshape(kh * kw, cin, cout).transpose(0, 2, 1))
         taps = taps.reshape(kh, kw, -1, cin)
-        g = col2im(taps, cache["x_shape"], layer.stride, layer.padding)
+        g = col2im(taps, x, layer.stride, layer.padding)
     return grads
 
 

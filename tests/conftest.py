@@ -6,6 +6,7 @@ own IoU/decode logic so they share no code path with the package.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lcdet.data import GroundTruthBox
 from lcdet.model import LayerSpec, NetworkSpec, init_model
@@ -183,3 +184,12 @@ def random_grid_target(rng, gh, gw, num_classes, boxes_per_cell, n_objects):
 
 def make_gt(cx, cy, w, h, class_id=0):
     return GroundTruthBox(cx, cy, w, h, class_id)
+
+
+# Parsed JSON for fuzzing readers: every JSON type, NaN and infinities, and an
+# integer too large for a float.
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 300), st.just(10 ** 400),
+                         st.floats(), st.text(max_size=4))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)

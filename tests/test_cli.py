@@ -193,7 +193,7 @@ def test_eval_rejects_bad_main_criterion(tmp_path):
     gt = tmp_path / "gt.json"
     gt.write_text("{}")
     assert run("eval", "--detections", dets, "--ground-truth", gt, "--iou", "1.5",
-               "--out", tmp_path / "eval") == 2
+               "--out", tmp_path / "eval") == 1
 
 
 def _infer_on_dataset(tmp_path):
@@ -353,7 +353,25 @@ def test_error_exit_code_contract():
     (["analyze", "--profile", "toy", "--compute-rate", "0"], 1),
     (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt.json",
       "--iou-sweep", "0.5,1.5"], 1),
-    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt.json", "--iou", "0"], 2),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt.json", "--iou", "0"], 1),
+    (["infer", "--model", "model.lcdet", "negative.ppm"], 2),
+    (["infer", "--model", "model.lcdet", "empty.ppm"], 2),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt_list.json"], 2),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt_entries.json"], 2),
+    (["train", "--config", "convdet_null.json", "--synthetic", 2, "--quiet"], 2),
+    (["train", "--config", "backbone_int.json", "--synthetic", 2, "--quiet"], 2),
+    (["train", "--config", "classes_str.json", "--synthetic", 2, "--quiet"], 2),
+    (["train", "--config", "channels_neg.json", "--synthetic", 2, "--quiet"], 2),
+    (["analyze", "--profile", "toy", "--input", "100x100"], 1),
+    (["analyze", "--profile", "toy", "--input", "0x0"], 1),
+    (["train", "--synthetic", 2, "--image-size", -16, "--quiet"], 1),
+    # IoU flags are checked before any input is read: the ground truth is malformed
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt_list.json",
+      "--iou", "1.5"], 1),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt_list.json",
+      "--iou-sweep", "0.5,1.5"], 1),
+    (["infer", "--model", "model.lcdet", "--nms-iou", "1.5", "negative.ppm"], 1),
+    (["train", "--config", "kernel_zero.json", "--synthetic", 2, "--quiet"], 2),
 ])
 def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -366,6 +384,17 @@ def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv,
     (tmp_path / "bw_zero.json").write_text('{"bandwidths_gbps": [0, 1]}')
     (tmp_path / "gt.json").write_text("{}")
     (tmp_path / "dets.jsonl").write_text("")
+    (tmp_path / "negative.ppm").write_bytes(b"P6 -3 -1 255\n" + bytes(9))
+    (tmp_path / "empty.ppm").write_bytes(b"P6 0 16 255\n")
+    (tmp_path / "gt_list.json").write_text("[1, 2]")
+    (tmp_path / "gt_entries.json").write_text('{"a": 5}')
+    for name, config in (("convdet_null", '{"convdet_channels": null}'),
+                         ("backbone_int", '{"backbone": 5}'),
+                         ("classes_str", '{"num_classes": "x"}'),
+                         ("channels_neg", '{"input_channels": -1}'),
+                         ("kernel_zero", '{"backbone": [{"kind": "conv", "kernel": [0, 0], '
+                                         '"out_channels": 4}]}')):
+        (tmp_path / f"{name}.json").write_text(config)
     assert run(*argv, "--out", "o") == code
     printed = capsys.readouterr()
     err = printed.err

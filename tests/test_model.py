@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import lcdet.model as M
 from lcdet.errors import (BadMagicError, ChecksumError, ConfigError, DataError,
                           ModelFormatError, TruncatedError, VersionError)
-from lcdet.quant import calibrate
+from lcdet.quant import calibrate, quantize_with
+from lcdet.tensor import im2col, maxpool2d_batched
 
-from conftest import tiny_net_spec
+from conftest import JSON_VALUES, tiny_net_spec
 
 
 def test_head_channels_single_class():
@@ -114,6 +115,46 @@ def test_load_rejects_head_without_final_activation():
 def test_parse_config_reports_line():
     with pytest.raises(Exception, match="line"):
         M.parse_config('{\n "backbone": [\n')
+
+
+def _spec_or_data_error(text: str):
+    """``build_lcdet(parse_config(text))`` either builds a valid spec or raises a
+    data error, never anything else."""
+    try:
+        spec = M.build_lcdet(M.parse_config(text))
+    except DataError:
+        return
+    spec.validate()
+    assert min(spec.input_channels, spec.total_stride, *spec.layers[0].kernel) >= 1
+
+
+_CONFIG_KEYS = ["name", "input_channels", "num_classes", "boxes_per_cell", "convdet_channels",
+                "input_size", "backbone"]
+_LAYER_KEYS = ["kind", "kernel", "out_channels", "stride", "padding", "activation", "size"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_survives_drawn_field_values(data):
+    # one to three fields of the toy config, at the top or in a backbone layer,
+    # get a drawn JSON value or are dropped
+    cfg = M.profile_config("toy")
+    places = [cfg, *cfg["backbone"][:3]]
+    for _ in range(data.draw(st.integers(1, 3))):
+        where = data.draw(st.sampled_from(places))
+        key = data.draw(st.sampled_from(_CONFIG_KEYS if where is cfg else _LAYER_KEYS))
+        if data.draw(st.booleans()):
+            where[key] = data.draw(JSON_VALUES)
+        else:
+            where.pop(key, None)
+    _spec_or_data_error(json.dumps(cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=40),
+                 st.sampled_from(["[" * 100000, "1" * 5000, '{"num_classes": ' + "9" * 5000 + "}"])))
+def test_config_survives_drawn_documents(text):
+    _spec_or_data_error(text)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +409,43 @@ def test_quantized_forward_close_to_float(rng):
     gq = M.forward(qmodel, img, mode="quantized")
     gf = M.forward(model, img, mode="float")
     assert np.abs(gq - gf).max() <= 3.0 * step
+
+
+def _hooked_walk(model, x):
+    """``run_layers`` with a hook that records every call; the hook's outputs
+    chain into the next layer's input and the last one is the result."""
+    calls = []
+    raw = M.run_layers(model, x, lambda *call: calls.append(call))
+    assert [c[0] for c in calls] == list(range(len(model.spec.layers)))
+    assert calls[0][1] is x and calls[-1][2] is raw
+    assert all(nxt[1] is call[2] for call, nxt in zip(calls, calls[1:]))
+    return raw, calls
+
+
+def test_run_layers_hook_sees_each_float_layer_with_its_columns(rng):
+    model = _small_model()
+    x = rng.random((2, 8, 8, 3), dtype=np.float32)
+    raw, calls = _hooked_walk(model, x)
+    for i, x_in, out, cols in calls:
+        layer = model.spec.layers[i]
+        if layer.kind == "maxpool":
+            assert cols is None
+            np.testing.assert_array_equal(
+                out, maxpool2d_batched(x_in, layer.kernel[0], layer.stride))
+        else:
+            want, _, _ = im2col(x_in, *layer.kernel, layer.stride, layer.padding)
+            np.testing.assert_array_equal(cols, want)
+    np.testing.assert_array_equal(M.run_layers(model, x), raw)
+
+
+def test_run_layers_hook_gets_no_columns_on_the_8bit_path(rng):
+    model = _small_model()
+    img = rng.random((8, 8, 3), dtype=np.float32)
+    qmodel = M.quantize_model(model, calibrate(model, [img]))
+    q = quantize_with(img, qmodel.calibration.input_range)
+    raw, calls = _hooked_walk(qmodel, q)
+    assert all(cols is None for _, _, _, cols in calls)
+    np.testing.assert_array_equal(M.run_layers(qmodel, q).data, raw.data)
 
 
 def test_quantize_model_twice_rejected():

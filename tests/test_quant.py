@@ -223,9 +223,9 @@ _RANGE_MIN = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
 _RANGE_SPAN = st.floats(1e-3, 8.0)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_qconv_exact_on_drawn_shapes(data):
+def _drawn_qconv_case(data):
+    """Random u8 operands, ranges (input min 0 or not), bias, shape, stride,
+    padding and activation for one qconv2d call."""
     stride = data.draw(st.integers(1, 3))
     padding = data.draw(st.sampled_from(["same", "valid"]))
     kh, kw = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
@@ -241,7 +241,30 @@ def test_qconv_exact_on_drawn_shapes(data):
                         QuantParams(w_lo, w_lo + w_span))
     bias = rng.normal(size=cout).astype(np.float32)
     activation = data.draw(st.sampled_from(["relu", "leaky_relu", "identity"]))
-    _assert_qconv_exact(x, w, bias, stride, padding, activation)
+    return x, w, bias, stride, padding, activation
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_qconv_exact_on_drawn_shapes(data):
+    _assert_qconv_exact(*_drawn_qconv_case(data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_qconv_within_one_byte_of_the_float_path(data):
+    # README's contract: quantizing the float conv of the dequantized operands
+    # gives the same bytes within one step, on the output's own range and on a
+    # drawn narrower one that saturates
+    x, w, bias, stride, padding, activation = _drawn_qconv_case(data)
+    ref = activate(conv2d(dequantize(x), dequantize(w), bias, stride, padding), activation)
+    lo, hi = float(ref.min()), float(ref.max())
+    cut = data.draw(st.floats(0.0, 0.45))
+    for out_params in (QuantParams(lo, hi if hi > lo else lo + 1.0),
+                       QuantParams(lo + cut * (hi - lo), hi - cut * (hi - lo))):
+        got = qconv2d(x, w, bias, stride, padding, out_params, activation)
+        want = quantize_with(ref, out_params)
+        assert np.abs(got.data.astype(int) - want.data.astype(int)).max() <= 1
 
 
 def test_quantize_with_rounds_ties_away_and_saturates():

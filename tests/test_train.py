@@ -493,7 +493,8 @@ def test_maxpool_backward_routes_to_first_maximum(rng):
         x = rng.integers(0, 3, size=(2, h, w, 3)).astype(np.float32)
         y = maxpool2d_batched(x, size, stride)
         gy = rng.integers(-4, 5, size=y.shape).astype(np.float32)
-        got = T._maxpool_backward({"x": x, "out": y, "size": size, "stride": stride}, gy)
+        layer = M.LayerSpec(kind="maxpool", kernel=(size, size), stride=stride)
+        got = T._maxpool_backward(x, y, gy, layer)
         want = np.zeros_like(x)
         for n, oi, oj, ch in np.ndindex(y.shape):
             win = x[n, oi * stride:oi * stride + size, oj * stride:oj * stride + size, ch]
