@@ -5,7 +5,8 @@ Conventions shared by every subcommand:
 - all outputs go into ``--out`` (never implicitly overwritten; pass --force);
 - a ``resolved_config.json`` with every effective option is written next to
   the outputs;
-- all randomness flows from ``--seed`` (default 0);
+- ``train`` takes all its randomness from ``--seed`` (default 0), and no
+  other subcommand draws random numbers;
 - exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -22,8 +24,6 @@ import numpy as np
 from . import data, detector, evaluation, perfsim, plot, quant, train
 from . import model as model_mod
 from .errors import ConfigError, DataError, LCDetError, NumericError, UsageError
-
-DEFAULT_SEED = 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,6 +91,20 @@ def _parse_list(text: str, flag: str, kind=float, ok=None, what="numbers") -> li
     return values
 
 
+def _number(low, kind=float, above=False):
+    """An argparse type: a finite ``kind`` of at least ``low`` (above it when
+    ``above``); any other value is a usage error naming the flag."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > low if above else value >= low)):
+            what = "an integer" if kind is int else "a finite number"
+            raise argparse.ArgumentTypeError(
+                f"expected {what} {'>' if above else '>='} {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's message for text kind() rejects
+    return parse
+
+
 def _parse_dims(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
@@ -119,6 +133,8 @@ def cmd_train(args) -> int:
         dataset = data.synth_dataset(args.synthetic, (image_size, image_size),
                                      seed=args.seed, augment=args.augment)
     elif args.dataset:
+        if args.augment or args.image_size is not None:
+            raise UsageError("--augment and --image-size apply to --synthetic data only")
         dataset = _read_input(args.dataset, "dataset", data.load_dataset)
     else:
         raise UsageError("train needs --synthetic N or --dataset DIR")
@@ -135,11 +151,12 @@ def cmd_train(args) -> int:
     _write_resolved(out, "train", {
         "profile": getattr(args, "profile", None), "config": args.config,
         "synthetic": args.synthetic, "dataset": args.dataset,
-        "image_size": image_size, "seed": args.seed, "lr": args.lr,
+        **({"image_size": image_size, "augment": args.augment} if args.synthetic else {}),
+        "seed": args.seed, "lr": args.lr,
         "epochs": args.epochs, "batch_size": args.batch_size,
         "lr_decay_epochs": list(decay_epochs), "lr_decay_factor": args.lr_decay_factor,
         "lambda_coord": loss_cfg.lambda_coord, "lambda_noobj": loss_cfg.lambda_noobj,
-        "augment": args.augment, "network": config,
+        "network": config,
     })
     net = model_mod.init_model(spec, seed=args.seed)
     try:
@@ -166,7 +183,7 @@ def cmd_quantize(args) -> int:
     if net.quantized:
         raise UsageError(f"{args.model} is already quantized")
     images = _read_input(args.calib, "calibration directory", _calibration_images)
-    if args.calib_limit:
+    if args.calib_limit is not None:
         images = images[:args.calib_limit]
     if not images:
         raise UsageError(f"calibration directory {args.calib!r} holds no .ppm images")
@@ -177,7 +194,6 @@ def cmd_quantize(args) -> int:
     model_mod.save_file(qnet, out_path)
     _write_resolved(out, "quantize", {
         "model": args.model, "calib": args.calib, "calib_images": len(images),
-        "seed": args.seed,
     })
     in_size = os.path.getsize(args.model)
     out_size = os.path.getsize(out_path)
@@ -211,7 +227,6 @@ def cmd_infer(args) -> int:
     _write_resolved(out, "infer", {
         "model": args.model, "images": list(args.images), "mode": args.mode,
         "score_threshold": args.score_threshold, "nms_iou": args.nms_iou,
-        "seed": args.seed,
     })
     n = sum(len(d) for d in dets_by_image.values())
     print(f"{n} detections over {len(dets_by_image)} images "
@@ -257,7 +272,6 @@ def cmd_eval(args) -> int:
     _write_resolved(out, "eval", {
         "detections": args.detections, "ground_truth": args.ground_truth,
         "iou": args.iou, "iou_sweep": args.iou_sweep, "fp_budget": args.fp_budget,
-        "seed": args.seed,
     })
     if main_curve.zero_gt_warning:
         print("warning: zero ground truths; recall reported as 0", file=sys.stderr)
@@ -340,7 +354,7 @@ def cmd_analyze(args) -> int:
         "profile": getattr(args, "profile", None), "config": args.config,
         "model": args.model, "input": list(dims), "mode": args.mode,
         "compute_rate": scenario_cfg["compute_rate"],
-        "bandwidths_gbps": scenario_cfg["bandwidths_gbps"], "seed": args.seed,
+        "bandwidths_gbps": scenario_cfg["bandwidths_gbps"],
     })
     print(f"total OPs {report.total_ops:,d}; "
           f"weights {report.total_weight_bytes('float'):,d} B float / "
@@ -361,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="allow writing into a non-empty output directory")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if profile:
             p.add_argument("--profile", default="toy", choices=("toy", "paper"))
             p.add_argument("--config", default=None,
@@ -369,18 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a detector")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--synthetic", type=int, default=None, metavar="N",
                    help="generate N synthetic rectangle images")
     p.add_argument("--dataset", default=None, help="dataset directory")
-    p.add_argument("--image-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=24)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lambda-coord", type=float, default=5.0)
-    p.add_argument("--lambda-noobj", type=float, default=1.0)
+    p.add_argument("--image-size", type=_number(1, int), default=None)
+    p.add_argument("--lr", type=_number(0.0), default=1e-3)
+    p.add_argument("--epochs", type=_number(1, int), default=24)
+    p.add_argument("--batch-size", type=_number(1, int), default=8)
+    p.add_argument("--lambda-coord", type=_number(0.0), default=5.0)
+    p.add_argument("--lambda-noobj", type=_number(0.0), default=1.0)
     p.add_argument("--lr-decay-epochs", default="14,19",
                    help="comma list of epochs where lr steps down (empty to disable)")
-    p.add_argument("--lr-decay-factor", type=float, default=0.25)
+    p.add_argument("--lr-decay-factor", type=_number(0.0, above=True), default=0.25)
     p.add_argument("--augment", action="store_true")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -389,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, profile=False)
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True, help="directory of .ppm calibration images")
-    p.add_argument("--calib-limit", type=int, default=None)
+    p.add_argument("--calib-limit", type=_number(1, int), default=None)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("infer", help="run detection on images")

@@ -213,40 +213,3 @@ def load_dataset(directory):
         img = read_ppm(os.path.join(directory, name))
         dataset.append((img, annotations[name]))
     return dataset
-
-
-def convert_rect_annotations(text: str) -> dict[str, list[GroundTruthBox]]:
-    """Convert rectangle-list annotation text to ground-truth boxes.
-
-    Expected layout per image: a path line, a count line, then ``count``
-    lines of ``left top width height``. Ellipse-style records (5+ numeric
-    fields) are rejected.
-    """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    out: dict[str, list[GroundTruthBox]] = {}
-    pos = 0
-    while pos < len(lines):
-        name = lines[pos]
-        pos += 1
-        try:
-            count = int(lines[pos])
-            pos += 1
-        except (IndexError, ValueError):
-            raise DataError(f"annotation for {name!r}: expected a box count line") from None
-        boxes = []
-        for _ in range(count):
-            if pos >= len(lines):
-                raise DataError(f"annotation for {name!r}: fewer boxes than declared")
-            fields = lines[pos].split()
-            pos += 1
-            if len(fields) > 4:
-                raise DataError(
-                    f"annotation for {name!r}: {len(fields)}-field record; only "
-                    "rectangle format 'left top width height' is supported")
-            try:
-                left, top, w, h = (float(v) for v in fields)
-            except ValueError:
-                raise DataError(f"annotation for {name!r}: non-numeric box fields") from None
-            boxes.append(GroundTruthBox(left + w / 2, top + h / 2, w, h, 0))
-        out[name] = boxes
-    return out

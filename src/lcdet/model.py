@@ -27,7 +27,7 @@ from .errors import (BadMagicError, ChecksumError, ConfigError, DataError,
                      ModelFormatError, TruncatedError, VersionError)
 from .quant import (CalibrationRecord, QuantParams, QuantizedTensor, dequantize,
                     qconv2d, qmaxpool2d, quantize, quantize_with)
-from .tensor import activate, conv2d_batched, maxpool2d_batched, sigmoid, softmax
+from .tensor import _out_and_pad, activate, conv2d_batched, maxpool2d_batched, sigmoid, softmax
 
 MAGIC = b"LCDT"
 VERSION = 1
@@ -95,6 +95,10 @@ class NetworkSpec:
                 if layer.kind == "conv" and layer.activation == "final":
                     raise ConfigError(f"layer {i}: activation 'final' is reserved "
                                       "for the detection_head")
+            elif (layer.kernel[0] != layer.kernel[1] or layer.padding != "same"
+                  or layer.activation != "identity" or layer.out_channels is not None):
+                raise ConfigError(f"layer {i}: a maxpool takes a square kernel, 'same' "
+                                  "padding, the 'identity' activation and no out_channels")
             if layer.padding not in LAYER_PADDINGS:
                 raise ConfigError(f"layer {i}: unknown padding {layer.padding!r}")
             if layer.stride < 1 or min(layer.kernel) < 1:
@@ -298,12 +302,31 @@ def init_model(spec: NetworkSpec, seed: int = 0) -> Model:
 # ---------------------------------------------------------------------------
 # forward passes
 
-def check_resolution(spec: NetworkSpec, height: int, width: int):
+def layer_shapes(spec: NetworkSpec, height: int, width: int) -> list[tuple[int, int, int]]:
+    """(h, w, c) of the input and of every layer's output: the one home of that arithmetic."""
+    shapes = [(height, width, spec.input_channels)]
+    for i, layer in enumerate(spec.layers):
+        h, w, c = shapes[-1]
+        (kh, kw), pool = layer.kernel, layer.kind == "maxpool"
+        try:
+            if pool and kh > min(h, w):
+                raise ConfigError(f"pool window {kh} larger than input {h}x{w}")
+            shapes.append((_out_and_pad(h, kh, layer.stride, layer.padding)[0],
+                           _out_and_pad(w, kw, layer.stride, layer.padding)[0],
+                           c if pool else layer.out_channels))
+        except ConfigError as e:
+            raise ConfigError(f"layer {i} ({layer.kind}): {e}") from e
+    return shapes
+
+
+def check_resolution(spec: NetworkSpec, height: int, width: int) -> tuple[int, int]:
+    """The (gh, gw) grid of an input whose sides are multiples of the total stride."""
     ts = spec.total_stride
     if height % ts or width % ts or min(height, width) < ts:
         raise ConfigError(
             f"input {width}x{height} rejected: height and width must be "
             f"positive multiples of the total stride {ts}")
+    return layer_shapes(spec, height, width)[-1][:2]
 
 
 def layer_activation(layer: LayerSpec) -> str:

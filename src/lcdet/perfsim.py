@@ -14,8 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import NetworkSpec
-from .tensor import _out_and_pad
+from .model import NetworkSpec, layer_shapes
 
 QUANT_TENSOR_OVERHEAD = 8  # two float32 range values per quantized tensor
 
@@ -106,31 +105,22 @@ class PerfReport:
 
 def analyze(spec: NetworkSpec, input_dims: tuple[int, int]) -> PerfReport:
     """Per-layer OPs and byte counts for the given (width, height) input."""
-    width, height = input_dims
-    h, w, c = height, width, spec.input_channels
+    shapes = layer_shapes(spec, input_dims[1], input_dims[0])
     layers = []
-    for i, layer in enumerate(spec.layers):
-        in_elems = h * w * c
+    for i, (layer, (h, w, c), (oh, ow, oc)) in enumerate(zip(spec.layers, shapes, shapes[1:])):
+        kh, kw = layer.kernel
         if layer.kind == "maxpool":
-            oh = _out_and_pad(h, layer.kernel[0], layer.stride, "same")[0]
-            ow = _out_and_pad(w, layer.kernel[0], layer.stride, "same")[0]
-            oc = c
-            ops = layer.kernel[0] * layer.kernel[1] * oh * ow * oc
+            ops = kh * kw * oh * ow * oc
             wf = wq = 0
-            label = f"maxpool{layer.kernel[0]}x{layer.kernel[1]}/{layer.stride}"
+            label = f"maxpool{kh}x{kw}/{layer.stride}"
         else:
-            kh, kw = layer.kernel
-            oh = _out_and_pad(h, kh, layer.stride, layer.padding)[0]
-            ow = _out_and_pad(w, kw, layer.stride, layer.padding)[0]
-            oc = layer.out_channels
             ops = 2 * kh * kw * c * oh * ow * oc
             n_weights = kh * kw * c * oc
             wf = 4 * n_weights + 4 * oc
             wq = n_weights + QUANT_TENSOR_OVERHEAD + 4 * oc
             label = f"conv{kh}x{kw}x{oc}/{layer.stride}"
         layers.append(LayerCost(i, layer.kind, label, oh, ow, oc, ops,
-                                wf, wq, in_elems, oh * ow * oc))
-        h, w, c = oh, ow, oc
+                                wf, wq, h * w * c, oh * ow * oc))
     return PerfReport(layers, input_dims)
 
 

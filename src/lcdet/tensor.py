@@ -130,7 +130,8 @@ def maxpool2d_batched(x: np.ndarray, size: int, stride: int) -> np.ndarray:
     if size > h or size > w:
         raise ConfigError(f"pool window {size} larger than input {h}x{w}")
     fill = -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min
-    out = np.full((n, -(-h // stride), -(-w // stride), c), fill, dtype=x.dtype)
+    oh, ow = (_out_and_pad(side, size, stride, "same")[0] for side in (h, w))
+    out = np.full((n, oh, ow, c), fill, dtype=x.dtype)
     for sl, osl in pool_windows(h, w, size, stride):
         np.maximum(out[osl], x[sl], out=out[osl])
     return out

@@ -38,8 +38,8 @@ class LossConfig:
     lambda_noobj: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_coord < 0 or self.lambda_noobj < 0:
-            raise ConfigError("loss weights must be non-negative")
+        if not all(np.isfinite(v) and v >= 0 for v in (self.lambda_coord, self.lambda_noobj)):
+            raise ConfigError("loss weights must be finite and non-negative")
 
 
 @dataclass
@@ -383,9 +383,7 @@ def train_loop(model: Model, dataset, cfg: TrainConfig):
     for img, _ in dataset:
         if img.shape[:2] != (h, w):
             raise ConfigError("all training images must share one resolution")
-    check_resolution(spec, h, w)
-    ts = spec.total_stride
-    grid_dims = (h // ts, w // ts)
+    grid_dims = check_resolution(spec, h, w)
     targets = stack_targets([assign_cells(gts, grid_dims, (w, h)) for _, gts in dataset])
     images = [np.asarray(img, dtype=np.float32) for img, _ in dataset]
 

@@ -287,9 +287,38 @@ def test_every_subcommand_writes_resolved_config(tmp_path):
         "--out", tmp_path / "e")
     env_keys = {"nproc", "python", "numpy", "blas", "blas_version"}
     for sub in (out, *(tmp_path / d for d in "qiae")):
-        env = json.loads((sub / "resolved_config.json").read_text())["environment"]
+        resolved = json.loads((sub / "resolved_config.json").read_text())
+        assert ("seed" in resolved) == (sub == out)  # only train draws random numbers
+        env = resolved["environment"]
         assert set(env) == env_keys
         assert env["nproc"] >= 1 and env["numpy"] == np.__version__
+
+
+def test_valid_padding_runs_end_to_end(tmp_path, capsys):
+    # 32x32 -> a 30x30 valid conv -> a 15x15 grid, not 32 // 2 = 16
+    config = tmp_path / "valid.json"
+    config.write_text(json.dumps({"convdet_channels": 4, "backbone": [
+        {"kind": "conv", "kernel": [3, 3], "out_channels": 4, "padding": "valid"},
+        {"kind": "maxpool", "size": 2}]}))
+    ds = tmp_path / "ds"
+    write_dataset(synth_dataset(4, (32, 32), seed=6), ds)
+    images = sorted(str(p) for p in ds.glob("*.ppm"))
+    assert run("train", "--config", config, "--dataset", ds, "--epochs", 1, "--quiet",
+               "--out", tmp_path / "t") == 0
+    assert run("quantize", "--model", tmp_path / "t" / "model.lcdet", "--calib", ds,
+               "--out", tmp_path / "q") == 0
+    assert run("infer", "--model", tmp_path / "t" / "model.lcdet",
+               "--out", tmp_path / "if", *images) == 0
+    assert run("infer", "--model", tmp_path / "q" / "model_q.lcdet", "--mode", "quantized",
+               "--out", tmp_path / "iq", *images) == 0
+    assert run("analyze", "--config", config, "--input", "32x32",
+               "--out", tmp_path / "an") == 0
+    rows = (tmp_path / "an" / "layers.csv").read_text().splitlines()[1:]
+    seen = []
+    M.run_layers(M.load_file(tmp_path / "t" / "model.lcdet"), np.zeros((1, 32, 32, 3)),
+                 lambda i, x, out, cols: seen.append(out.shape[1:]))
+    assert [tuple(map(int, r.split(",")[3:6])) for r in rows] == seen
+    assert seen[-1] == (15, 15, 16)
 
 
 def test_analyze_model_input_required(tmp_path):
@@ -372,11 +401,28 @@ def test_error_exit_code_contract():
       "--iou-sweep", "0.5,1.5"], 1),
     (["infer", "--model", "model.lcdet", "--nms-iou", "1.5", "negative.ppm"], 1),
     (["train", "--config", "kernel_zero.json", "--synthetic", 2, "--quiet"], 2),
+    # numeric train and quantize flags out of range are usage errors
+    (["train", "--synthetic", 2, "--image-size", 16, "--batch-size", 0, "--quiet"], 1),
+    (["train", "--synthetic", 2, "--image-size", 16, "--lr", "nan", "--quiet"], 1),
+    (["train", "--synthetic", 2, "--image-size", 16, "--epochs", -1, "--quiet"], 1),
+    (["train", "--synthetic", 2, "--image-size", 16, "--lr-decay-factor", 0, "--quiet"], 1),
+    (["train", "--synthetic", 2, "--image-size", 16, "--lambda-noobj", "nan", "--quiet"], 1),
+    (["quantize", "--model", "model.lcdet", "--calib", "ds", "--calib-limit", -1], 1),
+    (["quantize", "--model", "model.lcdet", "--calib", "ds", "--calib-limit", 0], 1),
+    # only train draws random numbers
+    (["infer", "--model", "model.lcdet", "--seed", 1, "frame.ppm"], 1),
+    (["quantize", "--model", "model.lcdet", "--calib", "ds", "--seed", 1], 1),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt.json", "--seed", 1], 1),
+    (["analyze", "--profile", "toy", "--seed", 1], 1),
+    # the synthetic-data flags would do nothing with a dataset
+    (["train", "--dataset", "ds", "--augment", "--epochs", 1, "--quiet"], 1),
+    (["train", "--dataset", "ds", "--image-size", 16, "--epochs", 1, "--quiet"], 1),
 ])
 def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     M.save_file(M.init_model(M.build_lcdet(M.profile_config("toy"))), "model.lcdet")
     write_ppm("frame.ppm", np.zeros((16, 16, 3), dtype=np.float32))
+    write_dataset(synth_dataset(2, (16, 16), seed=1), "ds")
     (tmp_path / "bad.json").write_text('{"compute_rate": 1e12,')
     (tmp_path / "bw_string.json").write_text('{"bandwidths_gbps": "ab"}')
     (tmp_path / "rate_string.json").write_text('{"compute_rate": "fast", "bandwidths_gbps": [1]}')

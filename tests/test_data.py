@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdet.data import (GroundTruthBox, convert_rect_annotations, load_annotations,
-                        load_dataset, read_ppm, synth_dataset, write_dataset,
-                        write_ppm)
+from lcdet.data import (GroundTruthBox, load_annotations, load_dataset, read_ppm,
+                        synth_dataset, write_dataset, write_ppm)
 from lcdet.errors import DataError, UsageError
 
 from conftest import JSON_SCALARS, JSON_VALUES
@@ -122,35 +121,6 @@ def test_load_dataset_missing_annotations(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(UsageError):
         load_dataset(tmp_path / "empty")
-
-
-def test_convert_rect_annotations():
-    text = """imgs/a.ppm
-2
-10 20 30 40
-5 5 10 10
-imgs/b.ppm
-0
-"""
-    out = convert_rect_annotations(text)
-    assert set(out) == {"imgs/a.ppm", "imgs/b.ppm"}
-    first = out["imgs/a.ppm"][0]
-    assert (first.cx, first.cy, first.w, first.h) == (25.0, 40.0, 30.0, 40.0)
-    assert out["imgs/b.ppm"] == []
-
-
-def test_convert_rejects_ellipse_records():
-    text = """imgs/a.ppm
-1
-38.5 27.7 1.57 100.0 80.0 1
-"""
-    with pytest.raises(DataError, match="rectangle"):
-        convert_rect_annotations(text)
-
-
-def test_convert_rejects_short_files():
-    with pytest.raises(DataError):
-        convert_rect_annotations("imgs/a.ppm\n3\n1 2 3 4\n")
 
 
 def test_annotation_errors_name_the_file(tmp_path):

@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lcdet.model as M
 from lcdet.errors import (BadMagicError, ChecksumError, ConfigError, DataError,
                           ModelFormatError, TruncatedError, VersionError)
+from lcdet.perfsim import analyze
 from lcdet.quant import calibrate, quantize_with
 from lcdet.tensor import im2col, maxpool2d_batched
 
@@ -280,6 +281,11 @@ def _edit(*path, value=_DROP):
      "the header says (5, 5, 3, 7) and (7,)"),
     (_edit("layers", 2, "kernel", value=[1, 1]),
      "model layer 2 (conv): records hold weights (3, 3, 6, 8)"),
+    # a pool runs square, 'same' and without an activation; a header may not say otherwise
+    (_edit("layers", 1, "kernel", value=[2, 3]), "layer 1: a maxpool takes a square kernel"),
+    (_edit("layers", 1, "padding", value="valid"), "layer 1: a maxpool takes a square kernel"),
+    (_edit("layers", 1, "activation", value="relu"), "layer 1: a maxpool takes a square kernel"),
+    (_edit("layers", 1, "out_channels", value=6), "layer 1: a maxpool takes a square kernel"),
 ])
 def test_malformed_header_is_a_data_error(tmp_path, capsys, mutate, message):
     from lcdet.cli import main
@@ -446,6 +452,43 @@ def test_run_layers_hook_gets_no_columns_on_the_8bit_path(rng):
     raw, calls = _hooked_walk(qmodel, q)
     assert all(cols is None for _, _, _, cols in calls)
     np.testing.assert_array_equal(M.run_layers(qmodel, q).data, raw.data)
+
+
+@st.composite
+def _drawn_network(draw):
+    """A config of 1-3 convs (kernel sides 1-7, stride 1-2, same or valid
+    padding) and 2-3 pools (size and stride 1-3) in a drawn order."""
+    convs = [{"kind": "conv", "kernel": [draw(st.integers(1, 7)), draw(st.integers(1, 7))],
+              "out_channels": draw(st.integers(1, 3)), "stride": draw(st.integers(1, 2)),
+              "padding": draw(st.sampled_from(["same", "valid"]))}
+             for _ in range(draw(st.integers(1, 3)))]
+    pools = [{"kind": "maxpool", "size": draw(st.integers(1, 3)),
+              "stride": draw(st.integers(1, 3))} for _ in range(draw(st.integers(2, 3)))]
+    return {"convdet_channels": 2, "boxes_per_cell": 1,
+            "backbone": draw(st.permutations(convs + pools))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_network(), st.integers(1, 3), st.integers(1, 3))
+def test_layer_shapes_agree_with_the_walk_and_the_cost_model(config, mh, mw):
+    spec = M.build_lcdet(config)
+    h, w = spec.total_stride * mh, spec.total_stride * mw
+    assume(max(h, w) <= 96)
+    model = M.init_model(spec, seed=0)
+    image = np.random.default_rng(0).random((h, w, 3), dtype=np.float32)
+    seen = []
+    hook = lambda i, x, out, cols: seen.append(out.shape[1:])  # noqa: E731
+    try:
+        grid = M.check_resolution(spec, h, w)
+    except ConfigError:
+        # a valid-padded kernel or a pool window overhangs its input: so must the walk
+        with pytest.raises(ConfigError):
+            M.run_layers(model, image[None], hook)
+        return
+    M.run_layers(model, image[None], hook)
+    assert M.layer_shapes(spec, h, w) == [(h, w, 3), *seen]
+    assert [(l.out_h, l.out_w, l.out_c) for l in analyze(spec, (w, h)).layers] == seen
+    assert M.forward(model, image).shape[:2] == grid
 
 
 def test_quantize_model_twice_rejected():

@@ -193,6 +193,13 @@ def test_loss_nonnegative(rng):
         assert T.detection_loss(grid, target, T.LossConfig(), 2).total >= 0.0
 
 
+@pytest.mark.parametrize("weights", [(-1.0, 1.0), (5.0, float("nan")), (float("nan"), 1.0),
+                                     (float("inf"), 1.0)])
+def test_loss_config_rejects_weights_that_are_not_finite_and_non_negative(weights):
+    with pytest.raises(ConfigError, match="finite and non-negative"):
+        T.LossConfig(*weights)
+
+
 def test_loss_nan_rejected():
     grid, target = _perfect_fixture()
     grid[0, 0, 0] = np.nan
