@@ -79,29 +79,26 @@ def _load_network_config(args) -> dict:
     return model_mod.profile_config(args.profile)
 
 
-def _parse_list(text: str, flag: str, kind=float, ok=None, what="numbers") -> list:
-    """A comma list of numbers (empty entries skipped), each passing ``ok`` if
-    given; anything else is a usage error."""
-    try:
-        values = [kind(v) for v in text.split(",") if v]
-    except ValueError:
-        values = None
-    if values is None or (ok is not None and not all(map(ok, values))):
-        raise UsageError(f"{flag} expects a comma list of {what}, got {text!r}")
-    return values
-
-
-def _number(low, kind=float, above=False):
-    """An argparse type: a finite ``kind`` of at least ``low`` (above it when
-    ``above``); any other value is a usage error naming the flag."""
+def _number(low, high=math.inf, kind=float, open=False):
+    """An argparse type: a finite ``kind`` in [low, high], or in (low, high)
+    when ``open``; any other value is a usage error naming the flag."""
     def parse(text):
         value = kind(text)
-        if not (math.isfinite(value) and (value > low if above else value >= low)):
+        if not (math.isfinite(value) and (low < value < high if open else low <= value <= high)):
             what = "an integer" if kind is int else "a finite number"
+            close = ")" if open or high == math.inf else "]"
             raise argparse.ArgumentTypeError(
-                f"expected {what} {'>' if above else '>='} {low}, got {text!r}")
+                f"expected {what} in {'(' if open else '['}{low}, {high}{close}, got {text!r}")
         return value
     parse.__name__ = kind.__name__  # argparse's message for text kind() rejects
+    return parse
+
+
+def _list(item):
+    """An argparse type: a comma list of ``item`` values, empty entries skipped."""
+    def parse(text):
+        return [item(v) for v in text.split(",") if v]
+    parse.__name__ = f"{item.__name__} list"
     return parse
 
 
@@ -132,19 +129,14 @@ def cmd_train(args) -> int:
         _check_dims(spec, (image_size, image_size))
         dataset = data.synth_dataset(args.synthetic, (image_size, image_size),
                                      seed=args.seed, augment=args.augment)
-    elif args.dataset:
-        if args.augment or args.image_size is not None:
-            raise UsageError("--augment and --image-size apply to --synthetic data only")
-        dataset = _read_input(args.dataset, "dataset", data.load_dataset)
     else:
-        raise UsageError("train needs --synthetic N or --dataset DIR")
-    decay_epochs = tuple(_parse_list(args.lr_decay_epochs, "--lr-decay-epochs", int))
+        dataset = _read_input(args.dataset, "dataset", data.load_dataset)
     out = _prepare_out(args.out, args.force)
     loss_cfg = train.LossConfig(lambda_coord=args.lambda_coord,
                                 lambda_noobj=args.lambda_noobj)
     cfg = train.TrainConfig(lr=args.lr, batch_size=args.batch_size,
                             epochs=args.epochs, seed=args.seed, loss=loss_cfg,
-                            lr_decay_epochs=decay_epochs,
+                            lr_decay_epochs=tuple(args.lr_decay_epochs),
                             lr_decay_factor=args.lr_decay_factor,
                             checkpoint_path=os.path.join(out, "checkpoint.lcdet"),
                             log=print if not args.quiet else None)
@@ -154,7 +146,7 @@ def cmd_train(args) -> int:
         **({"image_size": image_size, "augment": args.augment} if args.synthetic else {}),
         "seed": args.seed, "lr": args.lr,
         "epochs": args.epochs, "batch_size": args.batch_size,
-        "lr_decay_epochs": list(decay_epochs), "lr_decay_factor": args.lr_decay_factor,
+        "lr_decay_epochs": args.lr_decay_epochs, "lr_decay_factor": args.lr_decay_factor,
         "lambda_coord": loss_cfg.lambda_coord, "lambda_noobj": loss_cfg.lambda_noobj,
         "network": config,
     })
@@ -183,8 +175,7 @@ def cmd_quantize(args) -> int:
     if net.quantized:
         raise UsageError(f"{args.model} is already quantized")
     images = _read_input(args.calib, "calibration directory", _calibration_images)
-    if args.calib_limit is not None:
-        images = images[:args.calib_limit]
+    images = images[:args.calib_limit]  # None keeps them all
     if not images:
         raise UsageError(f"calibration directory {args.calib!r} holds no .ppm images")
     out = _prepare_out(args.out, args.force)
@@ -207,8 +198,6 @@ def cmd_quantize(args) -> int:
 # infer
 
 def cmd_infer(args) -> int:
-    if not 0.0 <= args.nms_iou <= 1.0:
-        raise UsageError(f"--nms-iou expects an IoU threshold in [0, 1], got {args.nms_iou}")
     net = _read_input(args.model, "model", model_mod.load_file)
     spec = net.spec
     dets_by_image = {}
@@ -238,10 +227,7 @@ def cmd_infer(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
-    if not 0.0 < args.iou < 1.0:
-        raise UsageError(f"--iou expects an IoU criterion in (0, 1), got {args.iou}")
-    criteria = _parse_list(args.iou_sweep, "--iou-sweep", ok=lambda v: 0.0 < v < 1.0,
-                           what="IoU criteria in (0, 1)") if args.iou_sweep else []
+    criteria = args.iou_sweep or []
     dets = _read_input(args.detections, "detections", detector.read_jsonl)
     gts = _read_input(args.ground_truth, "ground truth", data.load_annotations)
     if dets and gts and not dets.keys() & gts.keys():
@@ -287,6 +273,14 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
+def _positive(value) -> bool:
+    return model_mod.json_is(value, (int, float)) and 0 < value < math.inf
+
+
+_SCENARIO_FIELDS = {"compute_rate": _positive, "bandwidths_gbps": lambda v: v is None or (
+    isinstance(v, list) and all(map(_positive, v)))}
+
+
 def cmd_analyze(args) -> int:
     if args.model:
         spec = _read_input(args.model, "model", model_mod.load_file).spec
@@ -302,24 +296,11 @@ def cmd_analyze(args) -> int:
     else:
         raise UsageError("--input WxH required when the config has no default size")
     _check_dims(spec, dims)
-    if not args.compute_rate > 0:
-        raise UsageError(f"--compute-rate expects a positive number, got {args.compute_rate}")
-    scenario_cfg = {"compute_rate": args.compute_rate, "bandwidths_gbps": None}
-    if args.scenario:
-        loaded = _read_input(args.scenario, "scenario", _read_json)
-        if not isinstance(loaded, dict):
-            raise DataError(f"scenario {args.scenario!r}: root must be a JSON object")
-        scenario_cfg.update(loaded)
-        bws = scenario_cfg["bandwidths_gbps"]
-        if not (bws is None or isinstance(bws, list)) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0
-                for v in [scenario_cfg["compute_rate"], *(bws or [])]):
-            raise DataError(f"scenario {args.scenario!r}: compute_rate must be a positive "
-                            "number and bandwidths_gbps a list of positive numbers")
-    if args.bw_sweep:
-        scenario_cfg["bandwidths_gbps"] = _parse_list(args.bw_sweep, "--bw-sweep",
-                                                      ok=lambda v: v > 0,
-                                                      what="positive numbers")
+    scenario = {"compute_rate": args.compute_rate or 1e12, "bandwidths_gbps": args.bw_sweep}
+    if args.scenario:  # it may not be given with either flag, so it overrides no flag
+        scenario = model_mod.json_fields(_read_input(args.scenario, "scenario", _read_json),
+                                         _SCENARIO_FIELDS, f"scenario {args.scenario!r}", scenario)
+    rate, bws = scenario["compute_rate"], scenario["bandwidths_gbps"]
     out = _prepare_out(args.out, args.force)
     report = perfsim.analyze(spec, dims)
     _write(os.path.join(out, "layers.csv"), perfsim.report_csv(report))
@@ -332,11 +313,9 @@ def cmd_analyze(args) -> int:
 
     named = {}
     sweep_rows = []
-    if scenario_cfg["bandwidths_gbps"]:
-        for gbps in scenario_cfg["bandwidths_gbps"]:
-            sc = perfsim.BwScenario(gbps * 1e9, scenario_cfg["compute_rate"],
-                                    report, mode=args.mode)
-            res = perfsim.frame_rate(sc)
+    if bws:
+        for gbps in bws:
+            res = perfsim.frame_rate(perfsim.BwScenario(gbps * 1e9, rate, report, mode=args.mode))
             named[f"{gbps}gbps_{args.mode}"] = res
             sweep_rows.append((gbps, res.fps))
         _write(os.path.join(out, "fps_sweep.csv"), perfsim.fps_sweep_csv(sweep_rows))
@@ -344,17 +323,16 @@ def cmd_analyze(args) -> int:
                plot.render_svg([(args.mode, sweep_rows)], "DDR bandwidth (Gbps)",
                                "frames per second", "Frame rate vs DDR bandwidth"))
         # layer-wise bandwidth table at the highest swept bandwidth
-        top = max(scenario_cfg["bandwidths_gbps"])
+        top = max(bws)
         _write(os.path.join(out, "layer_bandwidth.csv"),
                perfsim.bandwidth_csv(named[f"{top}gbps_{args.mode}"]))
     _write(os.path.join(out, "summary.json"), perfsim.report_summary(report, named))
-    heads_path = os.path.join(out, "head_params.json")
-    _write(heads_path, json.dumps(heads, indent=1, sort_keys=True) + "\n")
+    _write(os.path.join(out, "head_params.json"),
+           json.dumps(heads, indent=1, sort_keys=True) + "\n")
     _write_resolved(out, "analyze", {
         "profile": getattr(args, "profile", None), "config": args.config,
         "model": args.model, "input": list(dims), "mode": args.mode,
-        "compute_rate": scenario_cfg["compute_rate"],
-        "bandwidths_gbps": scenario_cfg["bandwidths_gbps"],
+        "compute_rate": rate, "bandwidths_gbps": bws,
     })
     print(f"total OPs {report.total_ops:,d}; "
           f"weights {report.total_weight_bytes('float'):,d} B float / "
@@ -365,6 +343,15 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------------------
 # wiring
+
+def _check_excludes(args):
+    """Refuse a flag given beside one that a pair in ``excludes`` rules out (an
+    argparse group cannot set one flag against two that go together)."""
+    for flag, other in getattr(args, "excludes", ()):
+        if getattr(args, flag) is not None and getattr(args, other) not in (None, False):
+            raise UsageError(f"argument --{other.replace('_', '-')}: not allowed "
+                             f"with argument --{flag.replace('_', '-')}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lcdet", description=__doc__,
@@ -380,39 +367,41 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", default=None,
                            help="network config JSON (overrides --profile)")
 
+    count = _number(1, kind=int)
     p = sub.add_parser("train", help="train a detector")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--synthetic", type=int, default=None, metavar="N",
-                   help="generate N synthetic rectangle images")
-    p.add_argument("--dataset", default=None, help="dataset directory")
-    p.add_argument("--image-size", type=_number(1, int), default=None)
-    p.add_argument("--lr", type=_number(0.0), default=1e-3)
-    p.add_argument("--epochs", type=_number(1, int), default=24)
-    p.add_argument("--batch-size", type=_number(1, int), default=8)
-    p.add_argument("--lambda-coord", type=_number(0.0), default=5.0)
-    p.add_argument("--lambda-noobj", type=_number(0.0), default=1.0)
-    p.add_argument("--lr-decay-epochs", default="14,19",
+    p.add_argument("--seed", type=_number(0, kind=int), default=0)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--synthetic", type=count, default=None, metavar="N",
+                        help="generate N synthetic rectangle images")
+    source.add_argument("--dataset", default=None, help="dataset directory")
+    p.add_argument("--image-size", type=count, default=None)
+    p.add_argument("--lr", type=_number(0), default=1e-3)
+    p.add_argument("--epochs", type=count, default=24)
+    p.add_argument("--batch-size", type=count, default=8)
+    p.add_argument("--lambda-coord", type=_number(0), default=5.0)
+    p.add_argument("--lambda-noobj", type=_number(0), default=1.0)
+    p.add_argument("--lr-decay-epochs", type=_list(_number(0, kind=int)), default="14,19",
                    help="comma list of epochs where lr steps down (empty to disable)")
-    p.add_argument("--lr-decay-factor", type=_number(0.0, above=True), default=0.25)
+    p.add_argument("--lr-decay-factor", type=_number(0, open=True), default=0.25)
     p.add_argument("--augment", action="store_true")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, excludes=[("dataset", "augment"), ("dataset", "image_size")])
 
     p = sub.add_parser("quantize", help="calibrate and quantize a float model")
     common(p, profile=False)
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True, help="directory of .ppm calibration images")
-    p.add_argument("--calib-limit", type=_number(1, int), default=None)
+    p.add_argument("--calib-limit", type=count, default=None)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("infer", help="run detection on images")
     common(p, profile=False)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", default="float", choices=("float", "quantized"))
-    p.add_argument("--score-threshold", type=float,
+    p.add_argument("--score-threshold", type=_number(0, 1),
                    default=detector.DEFAULT_DEMO_SCORE_THRESHOLD)
-    p.add_argument("--nms-iou", type=float, default=detector.DEFAULT_NMS_IOU)
+    p.add_argument("--nms-iou", type=_number(0, 1), default=detector.DEFAULT_NMS_IOU)
     p.add_argument("--fddb", action="store_true", help="also write submission-style text")
     p.add_argument("images", nargs="+")
     p.set_defaults(func=cmd_infer)
@@ -421,9 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, profile=False)
     p.add_argument("--detections", required=True, help="detections JSON Lines")
     p.add_argument("--ground-truth", required=True, help="annotations JSON")
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--iou-sweep", default=None, help="comma list, e.g. 0.4,0.5,0.6")
-    p.add_argument("--fp-budget", type=int, default=None)
+    criterion = _number(0, 1, open=True)
+    p.add_argument("--iou", type=criterion, default=0.5)
+    p.add_argument("--iou-sweep", type=_list(criterion), default=None,
+                   help="comma list, e.g. 0.4,0.5,0.6")
+    p.add_argument("--fp-budget", type=_number(0, kind=int), default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="static cost report and frame-rate model")
@@ -431,10 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="take the network from a model file")
     p.add_argument("--input", default=None, help="input resolution WxH")
     p.add_argument("--mode", default="u8", choices=("float", "u8"))
-    p.add_argument("--compute-rate", type=float, default=1e12, help="OPs per second")
-    p.add_argument("--bw-sweep", default=None, help="comma list of Gbps values")
+    p.add_argument("--compute-rate", type=_number(0, open=True), default=None,
+                   help="OPs per second (default 1e12)")
+    p.add_argument("--bw-sweep", type=_list(_number(0, open=True)), default=None,
+                   help="comma list of Gbps values")
     p.add_argument("--scenario", default=None, help="scenario JSON file")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze,
+                   excludes=[("scenario", "compute_rate"), ("scenario", "bw_sweep")])
     return parser
 
 
@@ -442,6 +436,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_excludes(args)
         return args.func(args)
     except LCDetError as e:
         print(f"error: {e}", file=sys.stderr)

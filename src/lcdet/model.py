@@ -131,25 +131,32 @@ class Model:
 # ---------------------------------------------------------------------------
 # construction
 
-def _json_is(value, types) -> bool:
-    """isinstance for parsed JSON, where true and false are not numbers; a
-    list ``[types]`` asks for a two-element list of them (a kernel, a range)."""
-    if isinstance(types, list):
+def json_is(value, kind) -> bool:
+    """isinstance for parsed JSON, where true and false are not numbers; a list
+    ``[types]`` asks for a pair of them (a kernel, a range), a function is a test."""
+    if isinstance(kind, list):
         return (isinstance(value, list) and len(value) == 2
-                and all(_json_is(v, types[0]) for v in value))
-    return isinstance(value, types) and not isinstance(value, bool)
+                and all(json_is(v, kind[0]) for v in value))
+    if isinstance(kind, (type, tuple)):
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return kind(value)
 
 
-def _fields(d, schema: dict, where: str) -> dict:
-    """The ``schema`` fields of the JSON object ``d``; a ConfigError names the
-    first one that is missing or not of its type."""
+def json_fields(d, schema: dict, where: str, defaults: dict | None = None) -> dict:
+    """The ``schema`` fields of the JSON object ``d``; a ConfigError names the first
+    one that is missing or fails ``json_is``. User-written JSON passes ``defaults``
+    for the fields it may leave out, and may hold no field the program would not read."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {type(d).__name__}")
-    for key, types in schema.items():
+    unknown = sorted(d.keys() - schema.keys()) if defaults is not None else []
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+    d = {**(defaults or {}), **d}
+    for key, kind in schema.items():
         if key not in d:
             raise ConfigError(f"{where}: missing field {key!r}")
-        if not _json_is(d[key], types):
-            raise ConfigError(f"{where}: field {key!r} has the wrong type: {d[key]!r:.40}")
+        if not json_is(d[key], kind):
+            raise ConfigError(f"{where}: field {key!r} has a bad type or value: {d[key]!r:.40}")
     return {key: d[key] for key in schema}
 
 
@@ -158,29 +165,27 @@ _LAYER_FIELDS = {"kind": str, "kernel": [int], "out_channels": (int, type(None))
 _NETWORK_FIELDS = {"layers": list, "num_classes": int, "boxes_per_cell": int,
                    "input_channels": int}
 _RANGE = [(int, float)]
-# a config's optional fields and their defaults; input_size is read by the CLI
-_CONFIG_DEFAULTS = {"num_classes": 1, "boxes_per_cell": 3, "convdet_channels": 256,
-                    "input_channels": 3, "backbone": [], "input_size": None}
-_CONFIG_FIELDS = {"num_classes": int, "boxes_per_cell": int, "convdet_channels": int,
+# a config's fields, all optional; input_size is read by the CLI
+_CONFIG_FIELDS = {"name": str, "num_classes": int, "boxes_per_cell": int, "convdet_channels": int,
                   "input_channels": int, "backbone": list, "input_size": (int, type(None))}
+_CONFIG_DEFAULTS = {"name": "custom", "num_classes": 1, "boxes_per_cell": 3, "input_channels": 3,
+                    "convdet_channels": 256, "backbone": [], "input_size": None}
 
 
-def _layer_spec(entry, where: str) -> LayerSpec:
-    layer = _fields(entry, _LAYER_FIELDS, where)
+def _layer_spec(entry, where: str, defaults: dict | None = None) -> LayerSpec:
+    layer = json_fields(entry, _LAYER_FIELDS, where, defaults)
     return LayerSpec(**{**layer, "kernel": tuple(layer["kernel"])})
 
 
 def _layer_from_dict(entry, index: int) -> LayerSpec:
-    """A config backbone layer; the fields it leaves out take their defaults."""
+    """A config backbone layer; the fields it leaves out take their defaults.
+    A pool's stride defaults to its size, which the schema checks first."""
     where = f"backbone layer {index}"
-    if _fields(entry, {"kind": str}, where)["kind"] == "maxpool":
-        size = entry.get("size", _fields({"kernel": [2, 2], **entry}, {"kernel": [int]},
-                                         where)["kernel"][0])
-        entry = {"stride": size, **entry, "kernel": [size, size], "out_channels": None,
-                 "padding": "same", "activation": "identity"}
-    else:
-        entry = {"stride": 1, "padding": "same", "activation": "relu", **entry}
-    return _layer_spec(entry, where)
+    if json_fields(entry, {"kind": str}, where)["kind"] != "maxpool":
+        return _layer_spec(entry, where, {"stride": 1, "padding": "same", "activation": "relu"})
+    pool = json_fields(entry, {"kind": str, "size": int, "stride": int}, where,
+                       {"size": 2, "stride": entry.get("size", 2)})
+    return LayerSpec("maxpool", (pool["size"], pool["size"]), stride=pool["stride"])
 
 
 def build_lcdet(config: dict) -> NetworkSpec:
@@ -191,7 +196,7 @@ def build_lcdet(config: dict) -> NetworkSpec:
     activation. C and K come from the config's ``num_classes`` (default 1)
     and ``boxes_per_cell`` (default 3).
     """
-    net = _fields({**_CONFIG_DEFAULTS, **config}, _CONFIG_FIELDS, "config")
+    net = json_fields(config, _CONFIG_FIELDS, "config", _CONFIG_DEFAULTS)
     c, k, convdet = net["num_classes"], net["boxes_per_cell"], net["convdet_channels"]
     layers = [_layer_from_dict(entry, i) for i, entry in enumerate(net["backbone"])]
     layers.append(LayerSpec(kind="conv", kernel=(3, 3), out_channels=convdet,
@@ -201,7 +206,7 @@ def build_lcdet(config: dict) -> NetworkSpec:
                             activation="final"))
     spec = NetworkSpec(layers=layers, num_classes=c, boxes_per_cell=k,
                        input_channels=net["input_channels"],
-                       name=str(config.get("name", "custom")))
+                       name=net["name"])
     spec.validate()
     return spec
 
@@ -397,8 +402,6 @@ def forward(model: Model, image: np.ndarray, mode: str = "float") -> np.ndarray:
         calib = model.calibration
         if calib is None:
             raise ConfigError("quantized mode requires a calibration record")
-        if len(calib.layers) != len(spec.layers):
-            raise ConfigError("calibration record does not match the network layer count")
         q = quantize_with(image.astype(np.float32, copy=False), calib.input_range)
         raw = dequantize(run_layers(model, q))
     else:
@@ -411,19 +414,21 @@ def forward(model: Model, image: np.ndarray, mode: str = "float") -> np.ndarray:
 
 def _spec_from_dict(d) -> NetworkSpec:
     where = "model header"
-    net = _fields(d, _NETWORK_FIELDS, where)
+    net = json_fields(d, _NETWORK_FIELDS, where)
     layers = [_layer_spec(e, f"{where} layer {i}") for i, e in enumerate(net["layers"])]
     spec = NetworkSpec(**{**net, "layers": layers}, name=str(d.get("name", "custom")))
     spec.validate()
     return spec
 
 
-def _calibration_from_dict(d) -> CalibrationRecord:
+def _calibration_from_dict(d, num_layers: int) -> CalibrationRecord:
     where = "model header calibration"
-    cal = _fields(d, {"input": _RANGE, "layers": list}, where)
+    cal = json_fields(d, {"input": _RANGE, "layers": list}, where)
     for i, r in enumerate(cal["layers"]):
-        if not _json_is(r, _RANGE):
+        if not json_is(r, _RANGE):
             raise ConfigError(f"{where}: layers[{i}] is not a [min, max] pair: {r!r}")
+    if len(cal["layers"]) != num_layers:
+        raise ConfigError(f"{where}: {len(cal['layers'])} layer ranges for {num_layers} layers")
     return CalibrationRecord(QuantParams(*cal["input"]),
                              [QuantParams(*r) for r in cal["layers"]])
 
@@ -514,7 +519,7 @@ def load(data: bytes) -> Model:
     spec = _spec_from_dict(header)
     calibration = None
     if header.get("calibration") is not None:
-        calibration = _calibration_from_dict(header["calibration"])
+        calibration = _calibration_from_dict(header["calibration"], len(spec.layers))
     weights = []
     in_ch = spec.input_channels
     for i, layer in enumerate(spec.layers):

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
 LEAKY_SLOPE = 0.1
 
 

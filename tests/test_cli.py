@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import lcdet.model as M
-from lcdet.cli import main
+from lcdet.cli import build_parser, main
 from lcdet.data import synth_dataset, write_dataset, write_ppm
 
 
@@ -417,6 +418,31 @@ def test_error_exit_code_contract():
     # the synthetic-data flags would do nothing with a dataset
     (["train", "--dataset", "ds", "--augment", "--epochs", 1, "--quiet"], 1),
     (["train", "--dataset", "ds", "--image-size", 16, "--epochs", 1, "--quiet"], 1),
+    # train takes one data source
+    (["train", "--synthetic", 2, "--image-size", 16, "--dataset", "ds", "--epochs", 1,
+      "--quiet"], 1),
+    # every numeric flag is range-checked at parse time
+    (["infer", "--model", "model.lcdet", "--score-threshold", "nan", "frame.ppm"], 1),
+    (["infer", "--model", "model.lcdet", "--score-threshold", 5, "frame.ppm"], 1),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt.json", "--fp-budget", -3], 1),
+    (["train", "--synthetic", 2, "--image-size", 16, "--seed", -1, "--epochs", 1, "--quiet"], 1),
+    (["train", "--synthetic", 0, "--quiet"], 1),
+    (["train", "--synthetic", 0, "--dataset", "ds", "--epochs", 1, "--quiet"], 1),
+    (["train", "--synthetic", 2, "--image-size", 16, "--lr-decay-epochs=-1", "--epochs", 1,
+      "--quiet"], 1),
+    # a scenario file sets what --compute-rate and --bw-sweep set
+    (["analyze", "--profile", "toy", "--compute-rate", "2e12", "--scenario", "rate.json"], 1),
+    (["analyze", "--profile", "toy", "--bw-sweep", "1,2", "--scenario", "rate.json"], 1),
+    # a JSON field the program would not read is a data error
+    (["analyze", "--profile", "toy", "--scenario", "bw_typo.json"], 2),
+    (["train", "--config", "pool_kernel.json", "--synthetic", 2, "--image-size", 16,
+      "--epochs", 1, "--quiet"], 2),
+    (["train", "--config", "pool_padding.json", "--synthetic", 2, "--image-size", 16,
+      "--epochs", 1, "--quiet"], 2),
+    (["train", "--config", "conv_typo.json", "--synthetic", 2, "--image-size", 16,
+      "--epochs", 1, "--quiet"], 2),
+    (["train", "--config", "top_typo.json", "--synthetic", 2, "--image-size", 16,
+      "--epochs", 1, "--quiet"], 2),
 ])
 def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -428,6 +454,8 @@ def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv,
     (tmp_path / "rate_string.json").write_text('{"compute_rate": "fast", "bandwidths_gbps": [1]}')
     (tmp_path / "bw_strings.json").write_text('{"bandwidths_gbps": [1, "2"]}')
     (tmp_path / "bw_zero.json").write_text('{"bandwidths_gbps": [0, 1]}')
+    (tmp_path / "bw_typo.json").write_text('{"bandwidth_gbps": [1, 2]}')
+    (tmp_path / "rate.json").write_text('{"compute_rate": 5e11}')
     (tmp_path / "gt.json").write_text("{}")
     (tmp_path / "dets.jsonl").write_text("")
     (tmp_path / "negative.ppm").write_bytes(b"P6 -3 -1 255\n" + bytes(9))
@@ -439,7 +467,16 @@ def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv,
                          ("classes_str", '{"num_classes": "x"}'),
                          ("channels_neg", '{"input_channels": -1}'),
                          ("kernel_zero", '{"backbone": [{"kind": "conv", "kernel": [0, 0], '
-                                         '"out_channels": 4}]}')):
+                                         '"out_channels": 4}]}'),
+                         ("pool_kernel", '{"convdet_channels": 4, "backbone": '
+                                         '[{"kind": "maxpool", "kernel": [2, 3]}]}'),
+                         ("pool_padding", '{"convdet_channels": 4, "backbone": '
+                                          '[{"kind": "maxpool", "padding": "valid"}]}'),
+                         ("conv_typo", '{"convdet_channels": 4, "backbone": [{"kind": "conv", '
+                                       '"kernel": [3, 3], "out_channels": 4, '
+                                       '"activaton": "identity"}]}'),
+                         ("top_typo", '{"convdet_channel": 4, "backbone": '
+                                      '[{"kind": "maxpool"}]}')):
         (tmp_path / f"{name}.json").write_text(config)
     assert run(*argv, "--out", "o") == code
     printed = capsys.readouterr()
@@ -447,3 +484,12 @@ def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv,
     assert "Traceback" not in err and err.startswith("error: ") and err.count("\n") == 1
     assert printed.out == ""
     assert not (tmp_path / "o").exists()
+
+
+def test_every_numeric_flag_is_range_checked():
+    # a bare int or float type lets nan, inf and negative values through
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    bare = [f"{name} {a.option_strings[0]}" for name, p in sub.choices.items()
+            for a in p._actions if a.type in (int, float)]
+    assert bare == []

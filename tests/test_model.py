@@ -276,6 +276,9 @@ def _edit(*path, value=_DROP):
     (_edit("calibration", "input", value=[0]), "model header calibration: field 'input'"),
     (_edit("calibration", "layers"), "model header calibration: missing field 'layers'"),
     (_edit("calibration", "layers", 3, value=[0, "1"]), "model header calibration: layers[3]"),
+    (_edit("calibration", "layers", 3), "model header calibration: 5 layer ranges for 6 layers"),
+    (lambda h: h["calibration"]["layers"].append([0, 1]),
+     "model header calibration: 7 layer ranges for 6 layers"),
     (lambda h: h["layers"][0].update(kernel=[5, 5], out_channels=7),
      "model layer 0 (conv): records hold weights (3, 3, 3, 6) and bias (6,), "
      "the header says (5, 5, 3, 7) and (7,)"),
