@@ -23,7 +23,8 @@ import numpy as np
 
 from . import data, detector, evaluation, perfsim, plot, quant, train
 from . import model as model_mod
-from .errors import ConfigError, DataError, LCDetError, NumericError, UsageError
+from .errors import (ConfigError, DataError, LCDetError, NumericError, UsageError, finite,
+                     json_fields, parse_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,23 +40,15 @@ def _prepare_out(path: str, force: bool) -> str:
 
 
 def _read_input(path: str, what: str, load=None):
-    """``load(path)``, or the file's text when ``load`` is None. A path that
-    cannot be read is a usage error (exit 1), text that does not decode or
-    parse as JSON a data error (exit 2)."""
+    """``load(path)``, or the file's bytes when ``load`` is None. A path that
+    cannot be read is a usage error (exit 1)."""
     try:
         if load is None:
-            with open(path) as f:
+            with open(path, "rb") as f:
                 return f.read()
         return load(path)
     except OSError as e:
         raise UsageError(f"cannot read {what} {path!r}: {e.strerror or e}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"{what} {path!r}: {e}") from None
-
-
-def _read_json(path: str):
-    with open(path) as f:
-        return json.load(f)
 
 
 def _write(path: str, text: str):
@@ -67,7 +60,9 @@ def _write_resolved(out_dir: str, command: str, options: dict):
     """``resolved_config.json``: the options, plus where the command ran."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-           "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+           "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+           # as given, never parsed; None leaves OpenBLAS one thread per core
+           "blas_threads": os.getenv("OPENBLAS_NUM_THREADS", os.getenv("OMP_NUM_THREADS"))}
     resolved = {"command": command, **options, "environment": env}
     _write(os.path.join(out_dir, "resolved_config.json"),
            json.dumps(resolved, indent=1, sort_keys=True) + "\n")
@@ -75,7 +70,7 @@ def _write_resolved(out_dir: str, command: str, options: dict):
 
 def _load_network_config(args) -> dict:
     if getattr(args, "config", None):
-        return model_mod.parse_config(_read_input(args.config, "config"))
+        return parse_json(_read_input(args.config, "config"), f"config {args.config!r}")
     return model_mod.profile_config(args.profile)
 
 
@@ -274,7 +269,7 @@ def cmd_eval(args) -> int:
 # analyze
 
 def _positive(value) -> bool:
-    return model_mod.json_is(value, (int, float)) and 0 < value < math.inf
+    return finite(value) and value > 0
 
 
 _SCENARIO_FIELDS = {"compute_rate": _positive, "bandwidths_gbps": lambda v: v is None or (
@@ -298,8 +293,9 @@ def cmd_analyze(args) -> int:
     _check_dims(spec, dims)
     scenario = {"compute_rate": args.compute_rate or 1e12, "bandwidths_gbps": args.bw_sweep}
     if args.scenario:  # it may not be given with either flag, so it overrides no flag
-        scenario = model_mod.json_fields(_read_input(args.scenario, "scenario", _read_json),
-                                         _SCENARIO_FIELDS, f"scenario {args.scenario!r}", scenario)
+        where = f"scenario {args.scenario!r}"
+        scenario = json_fields(parse_json(_read_input(args.scenario, "scenario"), where),
+                               _SCENARIO_FIELDS, where, scenario)
     rate, bws = scenario["compute_rate"], scenario["bandwidths_gbps"]
     out = _prepare_out(args.out, args.force)
     report = perfsim.analyze(spec, dims)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import iou
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, finite, json_fields, parse_json
 
 
 @dataclass
@@ -177,28 +177,21 @@ def write_dataset(dataset, directory):
         json.dump(annotations, f, indent=1, sort_keys=True)
 
 
+_ENTRY_FIELDS = {"box": [finite] * 4, "class_id": int}
+
+
 def load_annotations(path) -> dict[str, list[GroundTruthBox]]:
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: bad annotation JSON at line {e.lineno}: {e.msg}") from e
-        except (ValueError, RecursionError) as e:  # not UTF-8, an integer too long, too deep
-            raise DataError(f"{path}: bad annotation JSON: {e}") from e
+    with open(path, "rb") as f:
+        raw = parse_json(f.read(), str(path))
     if not isinstance(raw, dict):
         raise DataError(f"{path}: annotations must be a JSON object of box lists")
     out = {}
     for name, entries in raw.items():
         if not isinstance(entries, list):
             raise DataError(f"{path}: entries for {name!r} must be a list")
-        boxes = []
-        for e in entries:
-            try:
-                cx, cy, w, h = (float(v) for v in e["box"])
-                boxes.append(GroundTruthBox(cx, cy, w, h, int(e.get("class_id", 0))))
-            except (KeyError, TypeError, ValueError, OverflowError) as err:
-                raise DataError(f"{path}: bad box entry for {name!r}: {err}") from err
-        out[name] = boxes
+        fields = [json_fields(e, _ENTRY_FIELDS, f"{path}: entry {i} for {name!r}", {"class_id": 0})
+                  for i, e in enumerate(entries)]
+        out[name] = [GroundTruthBox(*map(float, f["box"]), f["class_id"]) for f in fields]
     return out
 
 

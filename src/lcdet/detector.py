@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, parse_json
 
 DEFAULT_EVAL_SCORE_THRESHOLD = 0.005
 DEFAULT_DEMO_SCORE_THRESHOLD = 0.25
@@ -157,22 +157,22 @@ def write_jsonl(path, dets_by_image: dict[str, list[Detection]]):
 
 def read_jsonl(path) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
-    with open(path) as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
+            rec = parse_json(line, f"{path}:{lineno}")
             try:
-                rec = json.loads(line)
-                det = Detection(box=tuple(float(v) for v in rec["box"]),
+                cx, cy, w, h = map(float, rec["box"])  # ValueError unless four values
+                det = Detection(box=(cx, cy, w, h),
                                 class_id=int(rec["class_id"]),
                                 class_prob=float(rec["class_prob"]),
                                 confidence=float(rec["confidence"]),
                                 score=float(rec["score"]))
-                image_id = rec["image_id"]
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
+                out.setdefault(rec["image_id"], []).append(det)
+            except (KeyError, ValueError, TypeError, OverflowError) as e:
                 raise DataError(f"{path}:{lineno}: bad detection record: {e}") from e
-            out.setdefault(image_id, []).append(det)
     return out
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import head_views
-from .errors import (BadMagicError, ChecksumError, ConfigError, DataError,
-                     ModelFormatError, TruncatedError, VersionError)
+from .errors import (BadMagicError, ChecksumError, ConfigError, DataError, ModelFormatError,
+                     TruncatedError, VersionError, json_fields, json_is, parse_json)
 from .quant import (CalibrationRecord, QuantParams, QuantizedTensor, dequantize,
                     qconv2d, qmaxpool2d, quantize, quantize_with)
 from .tensor import _out_and_pad, activate, conv2d_batched, maxpool2d_batched, sigmoid, softmax
@@ -131,43 +131,15 @@ class Model:
 # ---------------------------------------------------------------------------
 # construction
 
-def json_is(value, kind) -> bool:
-    """isinstance for parsed JSON, where true and false are not numbers; a list
-    ``[types]`` asks for a pair of them (a kernel, a range), a function is a test."""
-    if isinstance(kind, list):
-        return (isinstance(value, list) and len(value) == 2
-                and all(json_is(v, kind[0]) for v in value))
-    if isinstance(kind, (type, tuple)):
-        return isinstance(value, kind) and not isinstance(value, bool)
-    return kind(value)
-
-
-def json_fields(d, schema: dict, where: str, defaults: dict | None = None) -> dict:
-    """The ``schema`` fields of the JSON object ``d``; a ConfigError names the first
-    one that is missing or fails ``json_is``. User-written JSON passes ``defaults``
-    for the fields it may leave out, and may hold no field the program would not read."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(d).__name__}")
-    unknown = sorted(d.keys() - schema.keys()) if defaults is not None else []
-    if unknown:
-        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
-    d = {**(defaults or {}), **d}
-    for key, kind in schema.items():
-        if key not in d:
-            raise ConfigError(f"{where}: missing field {key!r}")
-        if not json_is(d[key], kind):
-            raise ConfigError(f"{where}: field {key!r} has a bad type or value: {d[key]!r:.40}")
-    return {key: d[key] for key in schema}
-
-
-_LAYER_FIELDS = {"kind": str, "kernel": [int], "out_channels": (int, type(None)),
+_LAYER_FIELDS = {"kind": str, "kernel": [int, int], "out_channels": (int, type(None)),
                  "stride": int, "padding": str, "activation": str}
 _NETWORK_FIELDS = {"layers": list, "num_classes": int, "boxes_per_cell": int,
                    "input_channels": int}
-_RANGE = [(int, float)]
+_RANGE = [(int, float)] * 2
 # a config's fields, all optional; input_size is read by the CLI
 _CONFIG_FIELDS = {"name": str, "num_classes": int, "boxes_per_cell": int, "convdet_channels": int,
-                  "input_channels": int, "backbone": list, "input_size": (int, type(None))}
+                  "input_channels": int, "backbone": list,
+                  "input_size": lambda v: v is None or json_is(v, int) and v >= 1}
 _CONFIG_DEFAULTS = {"name": "custom", "num_classes": 1, "boxes_per_cell": 3, "input_channels": 3,
                     "convdet_channels": 256, "backbone": [], "input_size": None}
 
@@ -209,18 +181,6 @@ def build_lcdet(config: dict) -> NetworkSpec:
                        name=net["name"])
     spec.validate()
     return spec
-
-
-def parse_config(text: str) -> dict:
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DataError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except (ValueError, RecursionError) as e:  # an integer too long, arrays nested too deep
-        raise DataError(f"config parse error: {e}") from e
-    if not isinstance(config, dict):
-        raise DataError("config root must be a JSON object")
-    return config
 
 
 def _conv(out_ch, kernel=3, stride=1):
@@ -426,7 +386,7 @@ def _calibration_from_dict(d, num_layers: int) -> CalibrationRecord:
     cal = json_fields(d, {"input": _RANGE, "layers": list}, where)
     for i, r in enumerate(cal["layers"]):
         if not json_is(r, _RANGE):
-            raise ConfigError(f"{where}: layers[{i}] is not a [min, max] pair: {r!r}")
+            raise ConfigError(f"{where}: layers[{i}] is not a [min, max] pair")
     if len(cal["layers"]) != num_layers:
         raise ConfigError(f"{where}: {len(cal['layers'])} layer ranges for {num_layers} layers")
     return CalibrationRecord(QuantParams(*cal["input"]),
@@ -512,10 +472,7 @@ def load(data: bytes) -> Model:
     if version != VERSION:
         raise VersionError(f"unsupported model file version {version} (expected {VERSION})")
     (blob_len,) = r.unpack("<I")
-    try:
-        header = json.loads(r.take(blob_len).decode())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"model header is not valid JSON: {e}") from e
+    header = parse_json(r.take(blob_len), "model header")
     spec = _spec_from_dict(header)
     calibration = None
     if header.get("calibration") is not None:

@@ -6,8 +6,8 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
+    if hi <= lo:  # one value: a unit span, or |lo| where a unit is below lo's float step
+        hi = lo + 1.0 if lo + 1.0 > lo else lo + abs(lo)
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)], lo, hi
 

@@ -186,6 +186,12 @@ def make_gt(cx, cy, w, h, class_id=0):
     return GroundTruthBox(cx, cy, w, h, class_id)
 
 
+def model_with_header(blob: bytes, header: bytes) -> bytes:
+    """The model file ``blob`` with its JSON header bytes replaced by ``header``."""
+    n = int.from_bytes(blob[8:12], "little")
+    return blob[:8] + len(header).to_bytes(4, "little") + header + blob[12 + n:]
+
+
 # Parsed JSON for fuzzing readers: every JSON type, NaN and infinities, and an
 # integer too large for a float.
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 300), st.just(10 ** 400),

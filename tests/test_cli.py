@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import lcdet.model as M
 from lcdet.cli import build_parser, main
 from lcdet.data import synth_dataset, write_dataset, write_ppm
+
+from conftest import model_with_header
 
 
 def run(*argv):
@@ -286,13 +289,29 @@ def test_every_subcommand_writes_resolved_config(tmp_path):
     gt.write_text("{}")
     run("eval", "--detections", dets, "--ground-truth", gt,
         "--out", tmp_path / "e")
-    env_keys = {"nproc", "python", "numpy", "blas", "blas_version"}
+    env_keys = {"nproc", "python", "numpy", "blas", "blas_version", "blas_threads"}
     for sub in (out, *(tmp_path / d for d in "qiae")):
         resolved = json.loads((sub / "resolved_config.json").read_text())
         assert ("seed" in resolved) == (sub == out)  # only train draws random numbers
         env = resolved["environment"]
         assert set(env) == env_keys
         assert env["nproc"] >= 1 and env["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("env, recorded", [
+    ({"OPENBLAS_NUM_THREADS": "junk", "OMP_NUM_THREADS": "2"}, "junk"),
+    ({"OMP_NUM_THREADS": "2"}, "2"),
+    ({}, None),
+])
+def test_resolved_config_records_blas_threads(tmp_path, monkeypatch, env, recorded):
+    # the setting as given, never parsed, so a junk value cannot fail a command
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert run("analyze", "--profile", "toy", "--out", tmp_path / "a") == 0
+    resolved = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
+    assert resolved["environment"]["blas_threads"] == recorded
 
 
 def test_valid_padding_runs_end_to_end(tmp_path, capsys):
@@ -443,6 +462,26 @@ def test_error_exit_code_contract():
       "--epochs", 1, "--quiet"], 2),
     (["train", "--config", "top_typo.json", "--synthetic", 2, "--image-size", 16,
       "--epochs", 1, "--quiet"], 2),
+    # JSON that does not decode, in any file, is a data error, never a traceback
+    (["infer", "--model", "deep.lcdet", "frame.ppm"], 2),
+    (["analyze", "--model", "deep.lcdet", "--input", "16x16"], 2),
+    (["infer", "--model", "digits.lcdet", "frame.ppm"], 2),
+    (["analyze", "--profile", "toy", "--scenario", "deep.json"], 2),
+    (["analyze", "--profile", "toy", "--scenario", "digits.json"], 2),
+    (["analyze", "--profile", "toy", "--scenario", "bw_huge.json"], 2),
+    (["eval", "--detections", "deep.jsonl", "--ground-truth", "gt.json"], 2),
+    # ground-truth entries go through a field schema
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt_typo.json"], 2),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt_class_frac.json"], 2),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt_box_str.json"], 2),
+    (["eval", "--detections", "dets.jsonl", "--ground-truth", "gt_box_nan.json"], 2),
+    # a detection record that cannot be scored
+    (["eval", "--detections", "dets_inf_class.jsonl", "--ground-truth", "gt.json"], 2),
+    (["eval", "--detections", "dets_list_id.jsonl", "--ground-truth", "gt.json"], 2),
+    (["eval", "--detections", "dets_box3.jsonl", "--ground-truth", "gt.json"], 2),
+    # a config's input_size is an integer >= 1 or null
+    (["train", "--config", "size_zero.json", "--synthetic", 2, "--epochs", 1, "--quiet"], 2),
+    (["analyze", "--config", "size_zero.json"], 2),
 ])
 def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
@@ -478,12 +517,41 @@ def test_bad_input_path_is_a_one_line_error(tmp_path, monkeypatch, capsys, argv,
                          ("top_typo", '{"convdet_channel": 4, "backbone": '
                                       '[{"kind": "maxpool"}]}')):
         (tmp_path / f"{name}.json").write_text(config)
+    deep, digits = "[" * 100000 + "]" * 100000, '{"compute_rate": ' + "9" * 5000 + "}"
+    good = (tmp_path / "model.lcdet").read_bytes()
+    for name, header in (("deep", deep), ("digits", digits)):
+        (tmp_path / f"{name}.lcdet").write_bytes(model_with_header(good, header.encode()))
+        (tmp_path / f"{name}.json").write_text(header)
+    (tmp_path / "deep.jsonl").write_text(deep + "\n")
+    (tmp_path / "bw_huge.json").write_text('{"bandwidths_gbps": [1' + "0" * 400 + "]}")
+    for name, entry in (("typo", '{"box": [10, 10, 4, 4], "clas_id": 1}'),
+                        ("class_frac", '{"box": [10, 10, 4, 4], "class_id": 1.7}'),
+                        ("box_str", '{"box": ["5", "5", "2", "2"]}'),
+                        ("box_nan", '{"box": [NaN, 10, 4, 4]}')):
+        (tmp_path / f"gt_{name}.json").write_text(f'{{"frame.ppm": [{entry}]}}')
+    det = {"image_id": "frame.ppm", "box": [8, 8, 4, 4], "class_id": 0, "class_prob": 1.0,
+           "confidence": 0.5, "score": 0.5}
+    for name, edit in (("inf_class", {"class_id": float("inf")}), ("list_id", {"image_id": [1]}),
+                       ("box3", {"box": [8, 8, 4]})):
+        (tmp_path / f"dets_{name}.jsonl").write_text(json.dumps({**det, **edit}) + "\n")
+    (tmp_path / "size_zero.json").write_text('{"input_size": 0}')
     assert run(*argv, "--out", "o") == code
     printed = capsys.readouterr()
     err = printed.err
     assert "Traceback" not in err and err.startswith("error: ") and err.count("\n") == 1
     assert printed.out == ""
     assert not (tmp_path / "o").exists()
+
+
+def test_a_field_nested_near_the_recursion_limit_is_a_one_line_error(tmp_path, capsys):
+    # the decoder takes nesting up to the recursion limit, so the message that
+    # names a bad field must not recurse through its value
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit):
+        (tmp_path / "s.json").write_text('{"bandwidths_gbps": ' + "[" * depth + "]" * depth + "}")
+        assert run("analyze", "--profile", "toy", "--scenario", tmp_path / "s.json",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_every_numeric_flag_is_range_checked():

@@ -1,15 +1,20 @@
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lcdet
+from lcdet.cli import main
 from lcdet.data import (GroundTruthBox, load_annotations, load_dataset, read_ppm,
                         synth_dataset, write_dataset, write_ppm)
-from lcdet.errors import DataError, UsageError
+from lcdet.errors import DataError, UsageError, finite, json_is
+from lcdet.model import init_model, save
 
-from conftest import JSON_SCALARS, JSON_VALUES
+from conftest import JSON_SCALARS, JSON_VALUES, model_with_header, tiny_net_spec
 
 
 def test_ppm_round_trip(tmp_path, rng):
@@ -103,6 +108,78 @@ def test_load_annotations_survives_drawn_files(tmp_path_factory, blob):
         return
     assert all(isinstance(name, str) and all(isinstance(b, GroundTruthBox) for b in boxes)
                for name, boxes in out.items())
+
+
+_TINY_MODEL = save(init_model(tiny_net_spec(), seed=0))
+# each JSON reader: the file drawn bytes go into, and the command that reads it
+_JSON_READERS = {
+    "model header": ("m.lcdet", lambda blob: model_with_header(_TINY_MODEL, blob),
+                     ["analyze", "--model", "{}", "--input", "8x8"]),
+    "scenario": ("s.json", lambda blob: blob,
+                 ["analyze", "--profile", "toy", "--input", "16x16", "--scenario", "{}"]),
+    "detection line": ("d.jsonl", lambda blob: blob + b"\n",
+                       ["eval", "--detections", "{}", "--ground-truth", "{gt}"]),
+}
+_DETECTION = st.fixed_dictionaries(
+    {"image_id": JSON_SCALARS, "box": st.one_of(st.lists(JSON_SCALARS, max_size=5), JSON_VALUES),
+     **{k: JSON_SCALARS for k in ("class_id", "class_prob", "confidence", "score")}})
+_SCENARIO = st.fixed_dictionaries({}, optional={
+    "compute_rate": JSON_SCALARS,
+    "bandwidths_gbps": st.one_of(st.lists(JSON_SCALARS, max_size=3), JSON_VALUES)})
+
+
+@pytest.mark.parametrize("reader", list(_JSON_READERS))
+@settings(max_examples=150, deadline=None)
+@given(blob=st.one_of(st.one_of(JSON_VALUES, _DETECTION, _SCENARIO).map(
+    lambda v: json.dumps(v).encode()), st.binary(max_size=60)))
+@example(blob=b"[" * 100000 + b"]" * 100000)
+@example(blob=b'{"compute_rate": ' + b"9" * 5000 + b"}")
+@example(blob=b'{"bandwidths_gbps": [1' + b"0" * 400 + b"]}")
+@example(blob=b'{"bandwidths_gbps": [9007199254740992.0]}')  # one plotted value, 2**53
+def test_json_readers_survive_drawn_bytes(tmp_path_factory, reader, blob):
+    # whatever the bytes, the command succeeds or ends in a data error (exit 2)
+    tmp = tmp_path_factory.getbasetemp()
+    name, wrap, argv = _JSON_READERS[reader]
+    (tmp / name).write_bytes(wrap(blob))
+    (tmp / "gt.json").write_text('{"a": [{"box": [8, 8, 4, 4]}]}')
+    argv = [a.format(str(tmp / name), gt=tmp / "gt.json") for a in argv]
+    assert main([*argv, "--out", str(tmp / "out"), "--force"]) in (0, 2)
+
+
+@pytest.mark.parametrize("value, ok", [(1, True), (-2.5, True), (True, False), (None, False),
+                                       ("1", False), (float("nan"), False),
+                                       (float("-inf"), False), (10 ** 400, False)])
+def test_finite_is_a_number_a_float64_holds(value, ok):
+    assert finite(value) is ok
+
+
+def test_a_list_kind_is_a_list_of_exactly_those_kinds():
+    assert json_is([3, 3], [int, int]) and json_is([1, 0.5], [int, float])
+    assert not any(json_is(v, [int, int]) for v in ([3], [3, 3, 3], [3, 3.0], (3, 3), [True, 1]))
+
+
+def _json_decodes(tree):
+    """Calls of ``json.load``/``json.loads`` under ``tree``, and imports of either."""
+    return [n for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == "json"
+            and n.func.attr in ("load", "loads")
+            or isinstance(n, ast.ImportFrom) and n.module == "json"
+            and {a.name for a in n.names} & {"load", "loads"}]
+
+
+def test_json_is_decoded_in_one_function():
+    # every JSON input goes through errors.parse_json; a reader that decodes
+    # JSON itself would get round its DataError
+    outside, inside = [], []
+    for path in sorted(pathlib.Path(lcdet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        decoder = [id(n) for f in ast.walk(tree) if path.name == "errors.py"
+                   and isinstance(f, ast.FunctionDef) and f.name == "parse_json"
+                   for n in _json_decodes(f)]
+        inside += decoder
+        outside += [f"{path.name}:{n.lineno}" for n in _json_decodes(tree) if id(n) not in decoder]
+    assert outside == [] and len(inside) == 1
 
 
 def test_dataset_round_trip(tmp_path):

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import lcdet.model as M
 from lcdet.errors import (BadMagicError, ChecksumError, ConfigError, DataError,
-                          ModelFormatError, TruncatedError, VersionError)
+                          ModelFormatError, TruncatedError, VersionError, parse_json)
 from lcdet.perfsim import analyze
 from lcdet.quant import calibrate, quantize_with
 from lcdet.tensor import im2col, maxpool2d_batched
 
-from conftest import JSON_VALUES, tiny_net_spec
+from conftest import JSON_VALUES, model_with_header, tiny_net_spec
 
 
 def test_head_channels_single_class():
@@ -115,14 +115,14 @@ def test_load_rejects_head_without_final_activation():
 
 def test_parse_config_reports_line():
     with pytest.raises(Exception, match="line"):
-        M.parse_config('{\n "backbone": [\n')
+        parse_json('{\n "backbone": [\n', "config")
 
 
 def _spec_or_data_error(text: str):
-    """``build_lcdet(parse_config(text))`` either builds a valid spec or raises a
+    """``build_lcdet(parse_json(text))`` either builds a valid spec or raises a
     data error, never anything else."""
     try:
-        spec = M.build_lcdet(M.parse_config(text))
+        spec = M.build_lcdet(parse_json(text, "config"))
     except DataError:
         return
     spec.validate()
@@ -236,11 +236,9 @@ def test_load_truncated():
 
 def _with_header(blob: bytes, mutate) -> bytes:
     """The model file ``blob`` with its JSON header passed through ``mutate``."""
-    n = int.from_bytes(blob[8:12], "little")
-    header = json.loads(blob[12:12 + n])
+    header = json.loads(blob[12:12 + int.from_bytes(blob[8:12], "little")])
     mutate(header)
-    text = json.dumps(header).encode()
-    return blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + n:]
+    return model_with_header(blob, json.dumps(header).encode())
 
 
 _DROP = object()
